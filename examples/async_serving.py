@@ -59,7 +59,7 @@ def fit_pipeline() -> DAAKG:
 def main() -> None:
     enable_console_logging()
     pipeline = fit_pipeline()
-    service = AlignmentService.from_pipeline(pipeline, max_batch=64, cache_size=2048)
+    service = AlignmentService.from_pipeline(pipeline, cache_size=2048)
     kg1, kg2 = pipeline.kg1, pipeline.kg2
 
     # ------------------------------------------------ 1. storm through the
@@ -67,7 +67,7 @@ def main() -> None:
     # their tickets; worker threads flush deadline-aware batches.
     frontend = ServingFrontend(
         service,
-        FrontendConfig(num_workers=2, max_queue_depth=2048, default_deadline_ms=25),
+        FrontendConfig(num_workers=2, max_queue_depth=2048, max_batch=64, default_deadline_ms=25),
     )
     errors: list[Exception] = []
     resolved = [0]

@@ -1,17 +1,17 @@
 """Online serving of alignment queries from frozen pipeline snapshots.
 
 :class:`AlignmentService` loads a checkpoint (or wraps a fitted pipeline) and
-answers ``top_k_alignments`` / ``score_pairs`` queries from the cached
-similarity matrices, with request micro-batching, a state-token-keyed LRU
-result cache, atomic hot-swap to newer checkpoints, and incremental fold-in
-of new entities without recomputing the full similarity state.
+answers vectorised ``top_k_alignments`` / ``score_pairs`` queries from the
+cached similarity matrices, with a state-token-keyed LRU result cache,
+atomic hot-swap to newer checkpoints, and incremental fold-in of new
+entities (``apply_delta``) without recomputing the full similarity state.
 
-:class:`ServingFrontend` puts a concurrent dispatcher in front of a service:
-a bounded admission queue with typed load-shedding
-(:class:`BackpressureError`), deadline-aware batch flushing, and a worker
-pool fanning read-only snapshot queries out without a global lock — the
-layer that turns single-caller micro-batching into a measured saturation
-curve under open-loop load (``benchmarks/bench_serving_throughput.py``).
+:class:`ServingFrontend` is the one request batcher: a concurrent dispatcher
+in front of a service with a bounded admission queue and typed load-shedding
+(:class:`BackpressureError`), deadline-aware batch flushing into the
+service's vectorised calls, and a worker pool fanning read-only snapshot
+queries out without a global lock — measured as a saturation curve under
+open-loop load (``benchmarks/bench_serving_throughput.py``).
 
 :func:`serve` is the unified entry point: hand it a pipeline, a campaign, a
 snapshot or a checkpoint path and get back a service (or a started frontend).
@@ -22,6 +22,7 @@ from repro.serving.frontend import (
     BackpressureError,
     FrontendConfig,
     ServingFrontend,
+    Ticket,
     resolve_frontend_config,
 )
 from repro.serving.service import (
@@ -30,7 +31,6 @@ from repro.serving.service import (
     ServiceStats,
     ServingError,
     ServingSnapshot,
-    Ticket,
 )
 
 __all__ = [

@@ -7,7 +7,8 @@ pipeline, a :class:`~repro.active.campaign.PartitionedCampaign`, a prebuilt
 checkpoint or saved campaign directory — resolves it through the same
 ``_snapshot_from_source`` dispatch the service constructors use, and returns
 either a bare :class:`AlignmentService` or a started
-:class:`~repro.serving.frontend.ServingFrontend` around it.
+:class:`~repro.serving.frontend.ServingFrontend` around it — the one request
+batcher; a bare service answers vectorised list queries directly.
 
 The ``AlignmentService.from_pipeline`` / ``from_campaign`` /
 ``from_checkpoint`` constructors remain as delegating aliases for callers
@@ -32,7 +33,6 @@ def serve(
     source: "str | os.PathLike | DAAKG | PartitionedCampaign | ServingSnapshot",
     *,
     frontend: "bool | FrontendConfig | None" = None,
-    max_batch: int = 64,
     cache_size: int = 4096,
 ) -> "AlignmentService | ServingFrontend":
     """Serve ``source``, whatever kind of alignment artefact it is.
@@ -47,16 +47,15 @@ def serve(
         ``None``/``False`` (default) returns the bare
         :class:`AlignmentService`.  ``True`` wraps it in a
         :class:`ServingFrontend` with environment-resolved defaults; a
-        :class:`FrontendConfig` wraps it with that exact configuration.
-        The frontend is **started** before it is returned — callers own its
-        lifecycle and should ``stop()`` it (its ``service`` attribute holds
-        the underlying service).
-    max_batch, cache_size:
+        :class:`FrontendConfig` wraps it with that exact configuration
+        (its ``max_batch`` sets the batch size).  The frontend is
+        **started** before it is returned — callers own its lifecycle and
+        should ``stop()`` it (its ``service`` attribute holds the underlying
+        service).
+    cache_size:
         Forwarded to :class:`AlignmentService`.
     """
-    service = AlignmentService(
-        _snapshot_from_source(source), max_batch=max_batch, cache_size=cache_size
-    )
+    service = AlignmentService(_snapshot_from_source(source), cache_size=cache_size)
     if frontend is None or frontend is False:
         return service
     config = frontend if isinstance(frontend, FrontendConfig) else None

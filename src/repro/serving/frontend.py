@@ -1,10 +1,11 @@
 """Concurrent serving front end: admission control + deadline-aware batching.
 
-:class:`AlignmentService` answers ~40k qps of micro-batched queries, but only
-on one caller-driven thread: batches flush when *a caller* crosses
-``max_batch`` or calls ``Ticket.result()``.  :class:`ServingFrontend` puts a
-thread-pool dispatcher in front of the service so many concurrent callers
-share the batching win without driving it themselves:
+:class:`ServingFrontend` is the one request batcher of :mod:`repro.serving`:
+a thread-pool dispatcher in front of an :class:`AlignmentService` that lets
+many concurrent callers share the batching win without driving it
+themselves.  Callers admit single queries with ``submit_*`` and get a
+:class:`Ticket`; workers group the queued tickets into the service's
+vectorised ``top_k_alignments`` / ``score_pairs`` calls.
 
 * **Bounded admission queue with explicit backpressure** — ``submit_*``
   appends to a deque whose depth is capped at
@@ -13,7 +14,9 @@ share the batching win without driving it themselves:
   latency of everything behind it) without bound.  Load-shedding is a
   first-class outcome: the caller sees a structured error carrying the
   observed depth and limit, and every shed increments
-  ``frontend.shed.total``.
+  ``frontend.shed.total``.  Malformed queries (``k < 1``, a non-positive
+  deadline) are rejected at admission with ``ValueError``, so they never
+  reach — or fail — a batch.
 * **Deadline-aware batching** — every request carries a latency deadline
   (per-call override of :attr:`FrontendConfig.default_deadline_ms`).  Worker
   threads flush a batch when it reaches ``max_batch`` *or* when the oldest
@@ -21,6 +24,12 @@ share the batching win without driving it themselves:
   first — under heavy load batches fill instantly (throughput mode), under
   light load a lone request waits at most deadline/2 (latency mode), leaving
   the other half of the budget for the gather itself.
+* **Per-ticket error isolation** — a batch is answered in groups (one per
+  top-k ``k``, one for all pair scores).  A group whose vectorised call
+  raises :class:`ServingError` (e.g. one unknown URI) is re-answered one
+  ticket at a time, so a bad query fails only its own ticket.  Each
+  ticket's ``completed_at`` is stamped before it is marked ready, as soon
+  as its group is answered.
 * **Lock-free snapshot fan-out** — workers call the service's query methods
   directly; each call reads the frozen-snapshot reference once and runs on
   immutable arrays, so concurrent batches never contend on serving state
@@ -48,9 +57,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.obs.registry import DEFAULT_BATCH_BUCKETS, DEFAULT_LATENCY_BUCKETS
-from repro.serving.service import AlignmentService, ServingError, Ticket
+from repro.serving.service import AlignmentService, ServingError
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -86,17 +96,40 @@ def _env_float(name: str, fallback: float) -> float:
     return float(raw) if raw else fallback
 
 
+@dataclass
+class Ticket:
+    """One admitted query; ``result()`` waits for a worker to resolve it.
+
+    Carries the dispatcher that admitted it, its deadline and its submit /
+    complete timestamps.  ``completed_at`` is written before ``ready``, so a
+    ready ticket always has its completion time.
+    """
+
+    op: str
+    args: tuple
+    dispatcher: "ServingFrontend"
+    deadline_s: float = 0.0
+    submitted_at: float = 0.0
+    completed_at: float = 0.0
+    ready: bool = False
+    value: object = None
+    error: Exception | None = None
+
+    def result(self, timeout: float | None = None):
+        if not self.ready:
+            self.dispatcher.wait(self, timeout)
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Dispatcher knobs; ``REPRO_SERVING_*`` environment overrides win.
-
-    ``max_batch=None`` inherits the service's own ``max_batch`` so the
-    dispatcher never silently changes the service's batching contract.
-    """
+    """Dispatcher knobs; ``REPRO_SERVING_*`` environment overrides win."""
 
     num_workers: int = 2
     max_queue_depth: int = 1024
-    max_batch: int | None = None
+    max_batch: int = 64
     default_deadline_ms: float = 25.0
 
     def __post_init__(self) -> None:
@@ -104,8 +137,8 @@ class FrontendConfig:
             raise ValueError("num_workers must be >= 1")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1 (or None to inherit)")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         if self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be > 0")
 
@@ -115,15 +148,14 @@ def resolve_frontend_config(configured: FrontendConfig | None = None) -> Fronten
 
     Mirrors ``resolve_ann_params`` / ``resolve_backend_name`` — each
     ``REPRO_SERVING_*`` variable wins over the configured value, field by
-    field (``REPRO_SERVING_MAX_BATCH=0`` means "inherit the service's").
+    field.
     """
     base = configured if configured is not None else FrontendConfig()
-    max_batch = _env_int(MAX_BATCH_ENV, 0) or base.max_batch
     return replace(
         base,
         num_workers=_env_int(WORKERS_ENV, base.num_workers),
         max_queue_depth=_env_int(QUEUE_DEPTH_ENV, base.max_queue_depth),
-        max_batch=max_batch,
+        max_batch=_env_int(MAX_BATCH_ENV, base.max_batch),
         default_deadline_ms=_env_float(DEADLINE_MS_ENV, base.default_deadline_ms),
     )
 
@@ -139,10 +171,8 @@ class ServingFrontend:
             ...
             ticket.result()                  # waits on the flush loop
 
-    While started, the frontend is attached to the service as its
-    dispatcher: ``service.enqueue_top_k`` / ``enqueue_score`` route here, and
-    ``Ticket.result()`` waits for a worker instead of flushing the whole
-    queue on the caller's thread.
+    Tickets admitted before :meth:`start` wait in the queue until the
+    workers run.
     """
 
     def __init__(
@@ -155,7 +185,6 @@ class ServingFrontend:
         self.config = resolve_frontend_config(config) if resolve_env else (
             config or FrontendConfig()
         )
-        self.max_batch = self.config.max_batch or service.max_batch
         self._queue: deque[Ticket] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -184,10 +213,9 @@ class ServingFrontend:
 
     # ---------------------------------------------------------------- lifecycle
     def start(self) -> "ServingFrontend":
-        """Attach to the service and launch the worker pool (idempotent)."""
+        """Launch the worker pool (idempotent)."""
         if self._workers:
             return self
-        self.service.attach_dispatcher(self)
         self._stop = False
         for index in range(self.config.num_workers):
             worker = threading.Thread(
@@ -197,12 +225,12 @@ class ServingFrontend:
             self._workers.append(worker)
         logger.info(
             "serving frontend started: %d workers, queue depth %d, batch %d",
-            self.config.num_workers, self.config.max_queue_depth, self.max_batch,
+            self.config.num_workers, self.config.max_queue_depth, self.config.max_batch,
         )
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Detach and stop the workers; ``drain`` answers queued work first.
+        """Stop the workers; ``drain`` answers queued work first.
 
         With ``drain=False`` every still-queued ticket fails with a
         :class:`ServingError` — a stopped frontend never strands a waiter.
@@ -217,11 +245,12 @@ class ServingFrontend:
         for worker in self._workers:
             worker.join(timeout=timeout)
         self._workers = []
-        self.service.detach_dispatcher(self)
         if leftovers:
             error = ServingError("serving frontend stopped before resolving this ticket")
+            completed = time.perf_counter()
             for ticket in leftovers:
                 ticket.error = error
+                ticket.completed_at = completed
                 ticket.ready = True
             with self._done:
                 self._done.notify_all()
@@ -252,6 +281,8 @@ class ServingFrontend:
     # ------------------------------------------------------------------ submit
     def submit_top_k(self, uri: str, k: int = 10, deadline_ms: float | None = None) -> Ticket:
         """Admit one top-k query; sheds with :class:`BackpressureError` when full."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
         return self._submit("topk", (uri, k), deadline_ms)
 
     def submit_score(
@@ -260,10 +291,6 @@ class ServingFrontend:
         """Admit one pair-score query; sheds with :class:`BackpressureError` when full."""
         return self._submit("score", (left, right), deadline_ms)
 
-    def submit(self, op: str, args: tuple, deadline_ms: float | None = None) -> Ticket:
-        """The service's ``enqueue_*`` entry point while attached."""
-        return self._submit(op, args, deadline_ms)
-
     def _submit(self, op: str, args: tuple, deadline_ms: float | None) -> Ticket:
         deadline_s = (
             deadline_ms if deadline_ms is not None else self.config.default_deadline_ms
@@ -271,7 +298,6 @@ class ServingFrontend:
         if deadline_s <= 0:
             raise ValueError("deadline_ms must be > 0")
         ticket = Ticket(
-            self.service,
             op,
             args,
             dispatcher=self,
@@ -327,7 +353,8 @@ class ServingFrontend:
         queue = self._queue
         if not queue:
             return None, None
-        if len(queue) >= self.max_batch:
+        max_batch = self.config.max_batch
+        if len(queue) >= max_batch:
             reason = "full"
         elif self._draining:
             reason = "drain"
@@ -338,7 +365,7 @@ class ServingFrontend:
             reason = "deadline"
         else:
             return None, None
-        size = min(len(queue), self.max_batch)
+        size = min(len(queue), max_batch)
         return [queue.popleft() for _ in range(size)], reason
 
     def _wait_timeout_locked(self) -> float | None:
@@ -364,25 +391,53 @@ class ServingFrontend:
                 score_tickets.append(ticket)
         try:
             for k, tickets in by_k.items():
-                service._resolve_group(
+                self._resolve_group(
                     tickets,
                     lambda ts, k=k: service.top_k_alignments([t.args[0] for t in ts], k),
                 )
             if score_tickets:
-                service._resolve_group(
+                self._resolve_group(
                     score_tickets,
                     lambda ts: [float(v) for v in service.score_pairs([t.args for t in ts])],
                 )
         except Exception as exc:  # defensive: never strand a waiting caller
-            for ticket in batch:
-                if not ticket.ready:
+            logger.exception("serving batch failed; failing its unresolved tickets")
+            unresolved = [ticket for ticket in batch if not ticket.ready]
+            for ticket in unresolved:
+                ticket.error = exc
+            self._complete(unresolved)
+
+    def _resolve_group(
+        self, tickets: list[Ticket], answer_batch: Callable[[list[Ticket]], list]
+    ) -> None:
+        """Answer one same-shape group with one vectorised call.
+
+        On a :class:`ServingError` the group is re-answered one ticket at a
+        time, so a bad query (e.g. an unknown URI) fails only its own ticket.
+        """
+        try:
+            answers = answer_batch(tickets)
+        except ServingError:
+            # isolate the offender: re-run one ticket at a time
+            for ticket in tickets:
+                try:
+                    ticket.value = answer_batch([ticket])[0]
+                except ServingError as exc:
                     ticket.error = exc
-                    ticket.ready = True
+                self._complete([ticket])
+            return
+        for ticket, answer in zip(tickets, answers):
+            ticket.value = answer
+        self._complete(tickets)
+
+    def _complete(self, tickets: list[Ticket]) -> None:
+        """Stamp ``completed_at`` and observe latency, then mark ready."""
         completed = time.perf_counter()
         observe = self._lat_hist.observe
-        for ticket in batch:
+        for ticket in tickets:
             ticket.completed_at = completed
             observe(completed - ticket.submitted_at)
+            ticket.ready = True
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> dict:

@@ -16,35 +16,31 @@ Design points:
   checkpoint's content hash, extended per fold-in).  The LRU result cache
   keys on it, so stale results can never be served after a swap or fold-in
   without any explicit invalidation.
-* **Micro-batching** — ``enqueue_*`` queues single queries; ``flush`` (called
-  automatically when ``max_batch`` queries are pending, or lazily by
-  ``Ticket.result``) answers all pending queries of each shape with one
-  vectorised gather instead of per-query matrix rows.  When a
-  :class:`~repro.serving.frontend.ServingFrontend` dispatcher is attached,
-  enqueued tickets route to its flush loop instead, and ``Ticket.result``
-  *waits* rather than stealing the whole batch onto the caller's thread.
+* **Vectorised queries, one batcher** — each query method answers a whole
+  list of URIs or pairs with one matrix gather.  Request batching lives in
+  :class:`~repro.serving.frontend.ServingFrontend` alone, which groups
+  admitted single queries into those vectorised calls.
 * **Thread safety** — the query path is safe for concurrent callers: the
   snapshot reference is read once per call (readers fan out over the frozen
   state without any global lock), while the mutable extras — the LRU result
-  cache, the pending micro-batch queue and the stats counters — each take
-  their own fine-grained lock.  ``hot_swap`` / ``fold_in`` serialise their
-  read-modify-write of the snapshot reference behind a swap lock.
-* **Incremental fold-in** — a new entity arriving with its triples gets an
-  output-space embedding optimised against the frozen model (a few gradient
-  steps on only the new row, via ``score_np_grad_head`` /
+  cache and the stats counters — each take their own fine-grained lock.
+  ``hot_swap`` / ``apply_delta`` serialise their read-modify-write of the
+  snapshot reference behind a swap lock.
+* **Incremental fold-in, one path** — a new entity arriving with its
+  triples gets an output-space embedding optimised against a frozen model (a
+  few gradient steps on only the new row, via ``score_np_grad_head`` /
   ``score_np_grad_tail``), and is *appended* to the cached similarity matrix
-  as one new row/column — an ``O(n·d)`` update instead of the ``O(n₁·n₂·d)``
-  full similarity recompute.  Folded-in columns carry the embedding channel
-  only (no structural propagation), matching how a cold entity would score
-  before the next full training round.  Merged campaign snapshots fold in
-  too: each piece's frozen model travels with the snapshot as a
-  :class:`_PieceFoldContext`, the new entity is optimised against the single
-  piece that owns all of its neighbours, and its similarity row/column is
-  scattered into the global merged view (zero outside the owning piece —
-  exactly the cut semantics of the partitioner).  The preferred ingestion
-  surface is :meth:`AlignmentService.apply_delta` on a pure-growth
-  :class:`~repro.updates.delta.KGDelta`; ``fold_in(name, triples, side)`` is
-  a deprecated single-entity wrapper around it.
+  as one new row/column — an ``O(n·d)`` update instead of the
+  ``O(n₁·n₂·d)`` full similarity recompute.  Folded-in columns carry the
+  embedding channel only (no structural propagation), matching how a cold
+  entity would score before the next full training round.  Every snapshot
+  carries one :class:`_PieceFoldContext` per trained piece: a pipeline is a
+  one-piece merge with identity id maps, a merged campaign has one per
+  partition.  The new entity is optimised against the single piece that
+  owns all of its neighbours, and its row/column is scattered into the
+  global view (zero outside the owning piece — exactly the cut semantics of
+  the partitioner).  :meth:`AlignmentService.apply_delta` on a pure-growth
+  :class:`~repro.updates.delta.KGDelta` is the ingestion surface.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ import itertools
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -72,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with core
     from repro.active.campaign import PartitionedCampaign
     from repro.core.daakg import DAAKG
     from repro.embedding.base import KGEmbeddingModel
-    from repro.serving.frontend import ServingFrontend
     from repro.updates.delta import KGDelta
 
 logger = get_logger(__name__)
@@ -91,13 +85,14 @@ _TOKEN_COUNTER = itertools.count()
 
 @dataclass(frozen=True, eq=False)
 class _PieceFoldContext:
-    """One campaign piece's frozen fold-in state inside a merged snapshot.
+    """One piece's frozen fold-in state inside a serving snapshot.
 
-    Carries exactly what a single-pipeline snapshot carries for fold-in —
-    the piece's working vocabularies, output-space matrices and frozen
-    models — plus the local→global id maps (``rows_global``/``cols_global``)
-    that place the piece's rows and columns inside the merged similarity
-    view.  Immutable like the snapshot itself: a fold-in builds a *replaced*
+    Carries the piece's working vocabularies, output-space matrices and
+    frozen models, plus the local→global id maps (``rows_global``/
+    ``cols_global``) that place the piece's rows and columns inside the
+    snapshot's similarity view.  A pipeline snapshot is one piece with
+    identity maps; a merged campaign snapshot has one context per piece.
+    Immutable like the snapshot itself: a fold-in builds a *replaced*
     context with the new entity appended, never mutates one in place.
     """
 
@@ -115,68 +110,24 @@ class _PieceFoldContext:
     norm_out_2: np.ndarray  # unit rows of entity_out_2
     model_1: "KGEmbeddingModel"
     model_2: "KGEmbeddingModel"
-    rows_global: np.ndarray  # global merged row id of each local side-1 row
-    cols_global: np.ndarray  # global merged col id of each local side-2 row
-
-
-@dataclass(frozen=True)
-class ServingSnapshot:
-    """One immutable serving state: matrices, vocabularies, fold-in support."""
-
-    token: str
-    entity_names_1: tuple[str, ...]
-    entity_names_2: tuple[str, ...]
-    entity_index_1: dict[str, int]
-    entity_index_2: dict[str, int]
-    relation_index_1: dict[str, int]
-    relation_index_2: dict[str, int]
-    similarity: dict[ElementKind, SimilarityView]
-    map_entity: np.ndarray
-    entity_out_1: np.ndarray
-    entity_out_2: np.ndarray
-    relation_out_1: np.ndarray
-    relation_out_2: np.ndarray
-    norm_mapped_1: np.ndarray  # unit rows of entity_out_1 @ map_entity
-    norm_out_2: np.ndarray  # unit rows of entity_out_2
-    model_1: "KGEmbeddingModel"
-    model_2: "KGEmbeddingModel"
-    calibrator: AlignmentCalibrator
-    fold_count: int = 0
-    # False only for degraded snapshots that genuinely carry no frozen model
-    # state to optimise a new entity against (neither per-side models nor
-    # per-piece fold contexts) — fold-in is refused instead of silently
-    # computing garbage.  Pipeline snapshots carry ``model_1``/``model_2``;
-    # merged campaign snapshots carry one ``_PieceFoldContext`` per piece.
-    fold_in_supported: bool = True
-    # Per-piece fold contexts of a merged campaign snapshot; ``None`` for
-    # single-pipeline snapshots (which fold against ``model_1``/``model_2``).
-    pieces: "tuple[_PieceFoldContext, ...] | None" = None
+    rows_global: np.ndarray  # global row id of each local side-1 row
+    cols_global: np.ndarray  # global col id of each local side-2 row
 
     @classmethod
-    def from_pipeline(cls, daakg: "DAAKG", token: str | None = None) -> "ServingSnapshot":
-        """Freeze a fitted pipeline's current similarity state for serving."""
-        model = daakg.model
-        engine = model.similarity
-        similarity = engine.export_state()
-        snap = engine.snapshot
-        if token is None:
-            token = f"mem-{next(_TOKEN_COUNTER)}-{engine.backend_name}-" + "-".join(
-                str(v) for v in engine.state_token()
-            )
-        else:
-            token = f"{token}-{engine.backend_name}"
+    def freeze(
+        cls, index: int, model, rows_global: np.ndarray, cols_global: np.ndarray
+    ) -> "_PieceFoldContext":
+        """Copy a fitted joint model's output-space state for fold-in."""
+        snap = model.similarity.snapshot
         entity_out_1 = snap.entity_matrix_1.copy()
         entity_out_2 = snap.entity_matrix_2.copy()
         map_entity = model.map_entity.data.copy()
         return cls(
-            token=token,
-            entity_names_1=tuple(model.kg1.entities),
-            entity_names_2=tuple(model.kg2.entities),
+            index=index,
             entity_index_1=dict(model.kg1.entity_index),
             entity_index_2=dict(model.kg2.entity_index),
             relation_index_1=dict(model.kg1.relation_index),
             relation_index_2=dict(model.kg2.relation_index),
-            similarity=similarity,
             map_entity=map_entity,
             entity_out_1=entity_out_1,
             entity_out_2=entity_out_2,
@@ -186,7 +137,73 @@ class ServingSnapshot:
             norm_out_2=l2_normalize(entity_out_2),
             model_1=model.model1,
             model_2=model.model2,
+            rows_global=rows_global,
+            cols_global=cols_global,
+        )
+
+    def side(self, side: int) -> tuple:
+        """``(entity_index, relation_index, entity_out, relation_out, model)``."""
+        if side == 1:
+            return (
+                self.entity_index_1, self.relation_index_1,
+                self.entity_out_1, self.relation_out_1, self.model_1,
+            )
+        return (
+            self.entity_index_2, self.relation_index_2,
+            self.entity_out_2, self.relation_out_2, self.model_2,
+        )
+
+
+@dataclass(frozen=True)
+class ServingSnapshot:
+    """One immutable serving state: matrices, vocabularies, fold-in contexts."""
+
+    token: str
+    entity_names_1: tuple[str, ...]
+    entity_names_2: tuple[str, ...]
+    entity_index_1: dict[str, int]
+    entity_index_2: dict[str, int]
+    relation_index_1: dict[str, int]
+    relation_index_2: dict[str, int]
+    similarity: dict[ElementKind, SimilarityView]
+    calibrator: AlignmentCalibrator
+    # one fold context per piece: a pipeline snapshot is a one-piece merge
+    pieces: "tuple[_PieceFoldContext, ...]" = ()
+    fold_count: int = 0
+
+    # False only for degraded snapshots that carry no frozen model state:
+    # without a piece to optimise a new entity against, fold-in is refused
+    # instead of silently computing garbage
+    fold_in_supported = property(lambda self: bool(self.pieces))
+
+    @classmethod
+    def from_pipeline(cls, daakg: "DAAKG", token: str | None = None) -> "ServingSnapshot":
+        """Freeze a fitted pipeline's current similarity state for serving."""
+        model = daakg.model
+        engine = model.similarity
+        if token is None:
+            token = f"mem-{next(_TOKEN_COUNTER)}-{engine.backend_name}-" + "-".join(
+                str(v) for v in engine.state_token()
+            )
+        else:
+            token = f"{token}-{engine.backend_name}"
+        piece = _PieceFoldContext.freeze(
+            0,
+            model,
+            rows_global=np.arange(model.kg1.num_entities, dtype=np.int64),
+            cols_global=np.arange(model.kg2.num_entities, dtype=np.int64),
+        )
+        return cls(
+            token=token,
+            entity_names_1=tuple(model.kg1.entities),
+            entity_names_2=tuple(model.kg2.entities),
+            entity_index_1=dict(model.kg1.entity_index),
+            entity_index_2=dict(model.kg2.entity_index),
+            relation_index_1=dict(model.kg1.relation_index),
+            relation_index_2=dict(model.kg2.relation_index),
+            similarity=engine.export_state(),
             calibrator=AlignmentCalibrator(daakg.config.calibration),
+            pieces=(piece,),
         )
 
     @classmethod
@@ -195,14 +212,13 @@ class ServingSnapshot:
 
         The snapshot serves ``top_k_alignments`` / ``score_pairs`` /
         ``pair_probabilities`` from the merged streamed views over the
-        original pair's vocabularies.  Fold-in is supported through the
-        per-piece fold contexts (``pieces``): a new entity is optimised
-        against the frozen model of the single piece that owns all of its
-        neighbours and scattered into the merged view at that piece's
-        global ids.  A campaign with unfinished pieces (never run, or
-        pieces that failed on their executor) raises
-        ``CampaignExecutionError`` here instead of serving a partial merge;
-        ``campaign.run()`` re-executes exactly the unfinished pieces.
+        original pair's vocabularies.  Each piece's frozen model travels
+        with the snapshot as a fold context, so a new entity is optimised
+        against the single piece that owns all of its neighbours.  A
+        campaign with unfinished pieces (never run, or pieces that failed
+        on their executor) raises ``CampaignExecutionError`` here instead of
+        serving a partial merge; ``campaign.run()`` re-executes exactly the
+        unfinished pieces.
         """
         from repro.active.campaign import _augmented_kgs  # circular at module level
 
@@ -214,33 +230,17 @@ class ServingSnapshot:
             )
         else:
             token = f"{token}-merged"
-        contexts = []
+        pieces = []
         for index in range(campaign.num_partitions):
             model = campaign.pipeline(index).model
-            snap = model.similarity.snapshot
-            entity_out_1 = snap.entity_matrix_1.copy()
-            entity_out_2 = snap.entity_matrix_2.copy()
-            map_entity = model.map_entity.data.copy()
-            contexts.append(
-                _PieceFoldContext(
-                    index=index,
-                    entity_index_1=dict(model.kg1.entity_index),
-                    entity_index_2=dict(model.kg2.entity_index),
-                    relation_index_1=dict(model.kg1.relation_index),
-                    relation_index_2=dict(model.kg2.relation_index),
-                    map_entity=map_entity,
-                    entity_out_1=entity_out_1,
-                    entity_out_2=entity_out_2,
-                    relation_out_1=snap.relation_matrix_1.copy(),
-                    relation_out_2=snap.relation_matrix_2.copy(),
-                    norm_mapped_1=l2_normalize(entity_out_1 @ map_entity),
-                    norm_out_2=l2_normalize(entity_out_2),
-                    model_1=model.model1,
-                    model_2=model.model2,
-                    # piece working names are a subset of the global working
-                    # names (augmentation only appends), so name lookup is the
-                    # robust local→global map even across inverse-relation and
-                    # class-pseudo-entity augmentation
+            # piece working names are a subset of the global working names
+            # (augmentation only appends), so name lookup is the robust
+            # local→global map even across inverse-relation and
+            # class-pseudo-entity augmentation
+            pieces.append(
+                _PieceFoldContext.freeze(
+                    index,
+                    model,
                     rows_global=np.array(
                         [kg1.entity_index[name] for name in model.kg1.entities],
                         dtype=np.int64,
@@ -251,7 +251,6 @@ class ServingSnapshot:
                     ),
                 )
             )
-        empty = np.empty((0, 0))
         return cls(
             token=token,
             entity_names_1=tuple(kg1.entities),
@@ -261,17 +260,8 @@ class ServingSnapshot:
             relation_index_1=dict(kg1.relation_index),
             relation_index_2=dict(kg2.relation_index),
             similarity=merged.export_state(),
-            map_entity=empty,
-            entity_out_1=empty,
-            entity_out_2=empty,
-            relation_out_1=empty,
-            relation_out_2=empty,
-            norm_mapped_1=empty,
-            norm_out_2=empty,
-            model_1=None,
-            model_2=None,
             calibrator=AlignmentCalibrator(campaign.config.calibration),
-            pieces=tuple(contexts),
+            pieces=tuple(pieces),
         )
 
 
@@ -313,39 +303,6 @@ def _snapshot_from_source(
 
 
 @dataclass
-class Ticket:
-    """A pending micro-batched query; ``result()`` flushes if still queued.
-
-    Under a :class:`~repro.serving.frontend.ServingFrontend` dispatcher the
-    ticket carries the dispatcher reference plus its deadline and submit /
-    complete timestamps; ``result()`` then *waits* for the flush loop to
-    resolve it instead of flushing the whole queue on the caller's thread —
-    one slow caller can never steal the batch.
-    """
-
-    service: "AlignmentService"
-    op: str
-    args: tuple
-    ready: bool = False
-    value: object = None
-    error: Exception | None = None
-    dispatcher: "ServingFrontend | None" = None
-    deadline_s: float = 0.0
-    submitted_at: float = 0.0
-    completed_at: float = 0.0
-
-    def result(self, timeout: float | None = None):
-        if not self.ready:
-            if self.dispatcher is not None:
-                self.dispatcher.wait(self, timeout)
-            else:
-                self.service.flush()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-@dataclass
 class FoldInReport:
     """What one incremental fold-in did, and what it cost."""
 
@@ -363,7 +320,6 @@ class ServiceStats:
 
     queries: int = 0
     cache_hits: int = 0
-    flushes: int = 0
     folds: int = 0
     swaps: int = 0
     _lock: threading.Lock = field(
@@ -379,7 +335,6 @@ class ServiceStats:
         return {
             "queries": self.queries,
             "cache_hits": self.cache_hits,
-            "flushes": self.flushes,
             "folds": self.folds,
             "swaps": self.swaps,
         }
@@ -388,31 +343,20 @@ class ServiceStats:
 class AlignmentService:
     """Read-optimised alignment queries over a frozen pipeline snapshot."""
 
-    def __init__(
-        self,
-        state: ServingSnapshot,
-        max_batch: int = 64,
-        cache_size: int = 4096,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, state: ServingSnapshot, cache_size: int = 4096) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         self._state = state
-        self.max_batch = max_batch
         self.cache_size = cache_size
         self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._pending: list[Ticket] = []
         self.stats = ServiceStats()
         # Fine-grained synchronization: queries read the snapshot reference
         # once and fan out lock-free over the frozen arrays; only the mutable
         # extras take a lock, each its own so readers never contend across
-        # concerns.  The swap lock serialises hot_swap/fold_in — the only
+        # concerns.  The swap lock serialises hot_swap/apply_delta — the only
         # read-modify-write of the snapshot reference.
         self._cache_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
         self._swap_lock = threading.Lock()
-        self._dispatcher: "ServingFrontend | None" = None
         # Service-local metrics registry: always on (independent of the
         # global repro.obs gate — a serving process wants its own telemetry
         # regardless), exported through :meth:`metrics`.  Instrument handles
@@ -429,9 +373,6 @@ class AlignmentService:
         }
         self._cache_hit_counter = self.obs.counter("service.cache.hits")
         self._cache_miss_counter = self.obs.counter("service.cache.misses")
-        self._queue_gauge = self.obs.gauge("service.queue.depth")
-        self._batch_gauge = self.obs.gauge("service.flush.batch_size")
-        self._flush_counter = self.obs.counter("service.flushes.total")
         self._swap_counter = self.obs.counter("service.hot_swaps.total")
         self._fold_counter = self.obs.counter("service.fold_ins.total")
 
@@ -574,97 +515,6 @@ class AlignmentService:
         self._lat_hist.observe(time.perf_counter() - start)
         return probabilities
 
-    # ----------------------------------------------------------- micro-batches
-    def enqueue_top_k(self, uri: str, k: int = 10) -> Ticket:
-        """Queue one top-k query; resolved at the next :meth:`flush`."""
-        return self._enqueue("topk", (uri, k))
-
-    def enqueue_score(self, left: str, right: str) -> Ticket:
-        """Queue one pair-score query; resolved at the next :meth:`flush`."""
-        return self._enqueue("score", (left, right))
-
-    def _enqueue(self, op: str, args: tuple) -> Ticket:
-        # note: the queue-depth gauge is sampled at flush()/metrics() time,
-        # not here — a per-ticket gauge write would tax the hottest path for
-        # a value scrapers only ever observe at collection instants
-        dispatcher = self._dispatcher
-        if dispatcher is not None:
-            return dispatcher.submit(op, args)
-        ticket = Ticket(self, op, args)
-        with self._pending_lock:
-            self._pending.append(ticket)
-            should_flush = len(self._pending) >= self.max_batch
-        if should_flush:
-            self.flush()
-        return ticket
-
-    # --------------------------------------------------------- dispatcher hook
-    def attach_dispatcher(self, dispatcher: "ServingFrontend") -> None:
-        """Route subsequent ``enqueue_*`` tickets through ``dispatcher``.
-
-        Called by :meth:`ServingFrontend.start`; only one dispatcher may be
-        attached at a time.  Detaching restores the caller-driven flush.
-        """
-        if self._dispatcher is not None and self._dispatcher is not dispatcher:
-            raise ServingError("a dispatcher is already attached to this service")
-        self._dispatcher = dispatcher
-
-    def detach_dispatcher(self, dispatcher: "ServingFrontend") -> None:
-        if self._dispatcher is dispatcher:
-            self._dispatcher = None
-
-    def flush(self) -> int:
-        """Answer every pending query, grouped into vectorised batches.
-
-        Returns the number of tickets resolved.  Queries of the same shape
-        (same ``k`` for top-k; all pair scores) share one matrix gather.  A
-        bad query (e.g. an unknown URI) fails only its own ticket —
-        ``Ticket.result`` re-raises its error — never the rest of the batch:
-        on a group failure the group falls back to per-ticket resolution.
-        """
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        self._queue_gauge.set(0)
-        if not pending:
-            return 0
-        self.stats.bump("flushes")
-        self._flush_counter.inc()
-        self._batch_gauge.set(len(pending))
-        by_k: dict[int, list[Ticket]] = {}
-        score_tickets: list[Ticket] = []
-        for ticket in pending:
-            if ticket.op == "topk":
-                by_k.setdefault(ticket.args[1], []).append(ticket)
-            else:
-                score_tickets.append(ticket)
-        for k, tickets in by_k.items():
-            self._resolve_group(
-                tickets, lambda ts: self.top_k_alignments([t.args[0] for t in ts], k)
-            )
-        if score_tickets:
-            self._resolve_group(
-                score_tickets,
-                lambda ts: [float(v) for v in self.score_pairs([t.args for t in ts])],
-            )
-        return len(pending)
-
-    @staticmethod
-    def _resolve_group(tickets: list[Ticket], answer_batch) -> None:
-        try:
-            answers = answer_batch(tickets)
-        except ServingError:
-            # isolate the offender: re-run one ticket at a time
-            for ticket in tickets:
-                try:
-                    ticket.value = answer_batch([ticket])[0]
-                except ServingError as exc:
-                    ticket.error = exc
-                ticket.ready = True
-            return
-        for ticket, answer in zip(tickets, answers):
-            ticket.value = answer
-            ticket.ready = True
-
     # -------------------------------------------------------------- hot swap
     def hot_swap(
         self,
@@ -677,11 +527,9 @@ class AlignmentService:
         partition-parallel campaign (whose *merged* similarity state is
         served) or a prebuilt snapshot.  The new snapshot is fully built
         *before* the single reference assignment, so concurrent readers
-        observe either the old or the new state, never a mixture; pending
-        micro-batch tickets are flushed against the old state first.
-        Returns the new state token.
+        observe either the old or the new state, never a mixture.  Returns
+        the new state token.
         """
-        self.flush()
         state = _snapshot_from_source(source)
         with self._swap_lock:
             self._state = state
@@ -697,13 +545,20 @@ class AlignmentService:
         """Absorb a pure-growth :class:`~repro.updates.delta.KGDelta`.
 
         Serving can absorb *growth* only: added entities, each arriving with
-        the triples that place it.  Every added triple must involve at least
-        one added entity (triples between two added entities are folded with
-        the later one, when its partner already exists); each entity is
-        folded through the same gradient refinement as a single
-        :meth:`fold_in`, and all folds of one delta are applied under one
-        swap lock — a concurrent reader observes the delta atomically per
-        entity, never a half-written snapshot.
+        the triples that place it (``(head, relation, tail)`` name triples in
+        which the entity is head or tail and every other element already
+        exists).  Every added triple must involve at least one added entity
+        (triples between two added entities are folded with the later one,
+        when its partner already exists).  Each entity's output-space
+        embedding starts from the translational estimate implied by its
+        neighbours and is refined by ``steps`` gradient steps of the frozen
+        model's ``f_er`` — only the new row moves — then appended to the
+        similarity view as one new column (side 2) or row (side 1).  All
+        folds of one delta are applied under one swap lock — a concurrent
+        reader observes the delta atomically per entity, never a
+        half-written snapshot.  :meth:`KGDelta.single_entity
+        <repro.updates.delta.KGDelta.single_entity>` builds the one-entity
+        delta.
 
         Everything else a delta can carry — triple removals, gold-link
         additions or retractions, triples between *existing* entities —
@@ -722,7 +577,13 @@ class AlignmentService:
                 "triples); triple removals and gold-link changes need a retrain "
                 "— use PartitionedCampaign.apply_update() then hot_swap()"
             )
-        self._check_fold_in_supported()
+        if not self._state.fold_in_supported:
+            raise ServingError(
+                "fold-in is not supported on this snapshot: it carries no "
+                "frozen fold context to optimise a new entity against; "
+                "hot-swap a snapshot built from a pipeline, campaign or "
+                "checkpoint instead"
+            )
         reports: list[FoldInReport] = []
         with self._swap_lock:
             for side in (1, 2):
@@ -759,58 +620,6 @@ class AlignmentService:
                     )
         return reports
 
-    def fold_in(
-        self,
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int = 2,
-        steps: int = 15,
-        lr: float = 0.1,
-    ) -> FoldInReport:
-        """Add one new entity to the serving state without a full recompute.
-
-        .. deprecated::
-            ``fold_in(name, triples, side)`` is a thin wrapper over a
-            single-entity delta; build a
-            :meth:`KGDelta.single_entity <repro.updates.delta.KGDelta.single_entity>`
-            (or any pure-growth delta) and call :meth:`apply_delta` instead.
-
-        ``triples`` are ``(head, relation, tail)`` name triples in which
-        ``name`` appears as head or tail and every other element already
-        exists on ``side``.  The new entity's output-space embedding starts
-        from the translational estimate implied by its neighbours and is
-        refined by ``steps`` gradient steps of the frozen model's ``f_er`` —
-        only the new row moves.  It is then appended to the cached similarity
-        matrix as one new column (``side=2``) or row (``side=1``), and the
-        whole updated state replaces the old one atomically.
-        """
-        warnings.warn(
-            "AlignmentService.fold_in(name, triples, side) is deprecated; build "
-            "a KGDelta (e.g. KGDelta.single_entity) and call apply_delta()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if side not in (1, 2):
-            raise ValueError("side must be 1 or 2")
-        self._check_fold_in_supported()
-        if not triples:
-            raise ServingError(f"fold-in of {name!r} needs at least one triple")
-        from repro.updates.delta import KGDelta  # circular at module level
-
-        reports = self.apply_delta(
-            KGDelta.single_entity(name, triples, side=side), steps=steps, lr=lr
-        )
-        return reports[0]
-
-    def _check_fold_in_supported(self) -> None:
-        if not self._state.fold_in_supported:
-            raise ServingError(
-                "fold-in is not supported on this snapshot: it carries neither "
-                "frozen per-side models nor per-piece fold contexts to optimise "
-                "a new entity against; hot-swap a snapshot built from a "
-                "pipeline, campaign or checkpoint instead"
-            )
-
     def _fold_in_locked(
         self,
         name: str,
@@ -824,10 +633,9 @@ class AlignmentService:
         # reference can neither be lost nor observed half-applied (queries
         # keep reading whichever snapshot is current)
         state = self._state
-        if state.pieces is not None:
-            new_state = self._fold_into_merged(state, name, triples, side, steps, lr)
-        else:
-            new_state = self._fold_into_pipeline(state, name, triples, side, steps, lr)
+        position = _owning_piece(state, name, triples, side)
+        vector = _solve_fold_vector(name, triples, side, state.pieces[position], steps, lr)
+        new_state = _append_to_piece(state, position, side, name, vector)
         self._state = new_state
         self.stats.bump("folds")
         self._fold_counter.inc()
@@ -845,293 +653,6 @@ class AlignmentService:
             name, side, len(triples), report.seconds * 1e3,
         )
         return report
-
-    def _fold_into_pipeline(
-        self,
-        state: ServingSnapshot,
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int,
-        steps: int,
-        lr: float,
-    ) -> ServingSnapshot:
-        entity_index = state.entity_index_1 if side == 1 else state.entity_index_2
-        if name in entity_index:
-            raise ServingError(f"entity {name!r} already exists on side {side}")
-        vector = self._solve_fold_vector(
-            name,
-            triples,
-            side,
-            entity_index=entity_index,
-            relation_index=state.relation_index_1 if side == 1 else state.relation_index_2,
-            entity_out=state.entity_out_1 if side == 1 else state.entity_out_2,
-            relation_out=state.relation_out_1 if side == 1 else state.relation_out_2,
-            model=state.model_1 if side == 1 else state.model_2,
-            steps=steps,
-            lr=lr,
-        )
-        return self._append_entity(state, side, name, vector)
-
-    def _fold_into_merged(
-        self,
-        state: ServingSnapshot,
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int,
-        steps: int,
-        lr: float,
-    ) -> ServingSnapshot:
-        """Fold ``name`` into the piece owning all of its neighbours.
-
-        Partitions train independent embedding spaces, so the new entity can
-        only be optimised inside one of them: the (first) piece whose
-        side-``side`` vocabulary contains every neighbour entity and every
-        relation of ``triples``.  Its similarity row/column is scattered into
-        the merged view at the piece's global ids and left zero elsewhere —
-        the same no-cross-piece-evidence semantics the partition cut gives
-        trained entities.  A delta whose neighbours span several pieces has
-        no such owner and must go through the campaign retrain path.
-        """
-        global_index = state.entity_index_1 if side == 1 else state.entity_index_2
-        if name in global_index:
-            raise ServingError(f"entity {name!r} already exists on side {side}")
-        neighbours: set[str] = set()
-        relations: set[str] = set()
-        for head, relation, tail in triples:
-            relations.add(relation)
-            if head == name and tail != name:
-                neighbours.add(tail)
-            elif tail == name and head != name:
-                neighbours.add(head)
-            else:
-                raise ServingError(
-                    f"fold-in triple {(head, relation, tail)!r} must connect "
-                    f"{name!r} to an existing side-{side} entity"
-                )
-        context = None
-        position = -1
-        for candidate_position, candidate in enumerate(state.pieces):
-            entity_index = candidate.entity_index_1 if side == 1 else candidate.entity_index_2
-            relation_index = (
-                candidate.relation_index_1 if side == 1 else candidate.relation_index_2
-            )
-            if all(n in entity_index for n in neighbours) and all(
-                r in relation_index for r in relations
-            ):
-                context = candidate
-                position = candidate_position
-                break
-        if context is None:
-            for neighbour in neighbours:
-                if neighbour not in global_index:
-                    raise ServingError(f"unknown KG{side} entity {neighbour!r}")
-            global_relations = (
-                state.relation_index_1 if side == 1 else state.relation_index_2
-            )
-            for relation in relations:
-                if relation not in global_relations:
-                    raise ServingError(f"unknown side-{side} relation {relation!r}")
-            raise ServingError(
-                f"fold-in of {name!r} spans multiple partitions (no single piece "
-                "owns all of its neighbours and relations); apply the delta "
-                "through PartitionedCampaign.apply_update() and hot_swap() the "
-                "retrained campaign instead"
-            )
-        vector = self._solve_fold_vector(
-            name,
-            triples,
-            side,
-            entity_index=context.entity_index_1 if side == 1 else context.entity_index_2,
-            relation_index=(
-                context.relation_index_1 if side == 1 else context.relation_index_2
-            ),
-            entity_out=context.entity_out_1 if side == 1 else context.entity_out_2,
-            relation_out=context.relation_out_1 if side == 1 else context.relation_out_2,
-            model=context.model_1 if side == 1 else context.model_2,
-            steps=steps,
-            lr=lr,
-        )
-        return self._append_entity_merged(state, position, side, name, vector)
-
-    @staticmethod
-    def _solve_fold_vector(
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int,
-        *,
-        entity_index: dict[str, int],
-        relation_index: dict[str, int],
-        entity_out: np.ndarray,
-        relation_out: np.ndarray,
-        model: "KGEmbeddingModel",
-        steps: int,
-        lr: float,
-    ) -> np.ndarray:
-        """The new entity's output-space embedding, refined against ``model``."""
-        head_role: list[tuple[np.ndarray, np.ndarray]] = []  # (r_vec, tail_vec)
-        tail_role: list[tuple[np.ndarray, np.ndarray]] = []  # (head_vec, r_vec)
-        estimates: list[np.ndarray] = []
-        for head, relation, tail in triples:
-            if relation not in relation_index:
-                raise ServingError(f"unknown side-{side} relation {relation!r}")
-            r_vec = relation_out[relation_index[relation]]
-            if head == name and tail in entity_index:
-                tail_vec = entity_out[entity_index[tail]]
-                head_role.append((r_vec, tail_vec))
-                estimates.append(tail_vec - r_vec)
-            elif tail == name and head in entity_index:
-                head_vec = entity_out[entity_index[head]]
-                tail_role.append((head_vec, r_vec))
-                estimates.append(head_vec + r_vec)
-            else:
-                raise ServingError(
-                    f"fold-in triple {(head, relation, tail)!r} must connect "
-                    f"{name!r} to an existing side-{side} entity"
-                )
-
-        # Minimise Σ ½·f_er² over the new row only.  The squared objective is
-        # what makes this stable: its gradient ``f_er · ∇f_er`` shrinks with
-        # the residual, whereas raw ``∇f_er`` has unit magnitude for
-        # norm-based scores and oscillates around the optimum.
-        vector = np.mean(estimates, axis=0)
-        scale = 1.0 / len(triples)
-        for _ in range(max(0, steps)):
-            grad = np.zeros_like(vector)
-            for r_vec, tail_vec in head_role:
-                score = model.score_np(vector, r_vec, tail_vec)
-                grad += score * model.score_np_grad_head(vector, r_vec, tail_vec)
-            for head_vec, r_vec in tail_role:
-                score = model.score_np(head_vec, r_vec, vector)
-                grad += score * model.score_np_grad_tail(head_vec, r_vec, vector)
-            delta = lr * scale * grad
-            vector -= delta
-            if float(np.linalg.norm(delta)) < 1e-6 * max(1.0, float(np.linalg.norm(vector))):
-                break  # converged — translational models often start at the optimum
-        return vector
-
-    @staticmethod
-    def _append_entity(
-        state: ServingSnapshot, side: int, name: str, vector: np.ndarray
-    ) -> ServingSnapshot:
-        """A new snapshot with ``vector`` appended on ``side`` (O(n·d) work).
-
-        The explicitly-computed similarity row/column (embedding channel
-        only — a cold entity has no structural evidence before the next full
-        training round) is appended through the view, so dense views grow
-        their matrix while streamed views collect it in a small tail shard.
-        """
-        similarity = dict(state.similarity)
-        entity_view = similarity[ElementKind.ENTITY]
-        token = f"{state.token}+fold{state.fold_count + 1}"
-        if side == 2:
-            unit = l2_normalize(vector)
-            column = state.norm_mapped_1 @ unit
-            similarity[ElementKind.ENTITY] = entity_view.append_col(column)
-            index = dict(state.entity_index_2)
-            index[name] = len(state.entity_names_2)
-            return replace(
-                state,
-                token=token,
-                fold_count=state.fold_count + 1,
-                similarity=similarity,
-                entity_names_2=state.entity_names_2 + (name,),
-                entity_index_2=index,
-                entity_out_2=np.concatenate([state.entity_out_2, vector[None, :]]),
-                norm_out_2=np.concatenate([state.norm_out_2, unit[None, :]]),
-            )
-        mapped_unit = l2_normalize(vector @ state.map_entity)
-        row = state.norm_out_2 @ mapped_unit
-        similarity[ElementKind.ENTITY] = entity_view.append_row(row)
-        index = dict(state.entity_index_1)
-        index[name] = len(state.entity_names_1)
-        return replace(
-            state,
-            token=token,
-            fold_count=state.fold_count + 1,
-            similarity=similarity,
-            entity_names_1=state.entity_names_1 + (name,),
-            entity_index_1=index,
-            entity_out_1=np.concatenate([state.entity_out_1, vector[None, :]]),
-            norm_mapped_1=np.concatenate([state.norm_mapped_1, mapped_unit[None, :]]),
-        )
-
-    @staticmethod
-    def _append_entity_merged(
-        state: ServingSnapshot,
-        position: int,
-        side: int,
-        name: str,
-        vector: np.ndarray,
-    ) -> ServingSnapshot:
-        """A new merged snapshot with ``vector`` folded into one piece.
-
-        The appended similarity row/column is non-zero only at the owning
-        piece's global ids (embedding channel of that piece's frozen space);
-        every other piece contributes zero — a folded entity has no
-        cross-piece evidence, exactly like a trained entity across the cut.
-        Both the global snapshot and the owning piece's context grow by one
-        entity, so later folds can neighbour on this one.
-        """
-        similarity = dict(state.similarity)
-        entity_view = similarity[ElementKind.ENTITY]
-        token = f"{state.token}+fold{state.fold_count + 1}"
-        pieces = list(state.pieces)
-        context = pieces[position]
-        if side == 2:
-            unit = l2_normalize(vector)
-            column = np.zeros(entity_view.num_rows)
-            column[context.rows_global] = context.norm_mapped_1 @ unit
-            similarity[ElementKind.ENTITY] = entity_view.append_col(column)
-            global_id = len(state.entity_names_2)
-            index = dict(state.entity_index_2)
-            index[name] = global_id
-            local_index = dict(context.entity_index_2)
-            local_index[name] = context.entity_out_2.shape[0]
-            pieces[position] = replace(
-                context,
-                entity_index_2=local_index,
-                entity_out_2=np.concatenate([context.entity_out_2, vector[None, :]]),
-                norm_out_2=np.concatenate([context.norm_out_2, unit[None, :]]),
-                cols_global=np.concatenate(
-                    [context.cols_global, np.array([global_id], dtype=np.int64)]
-                ),
-            )
-            return replace(
-                state,
-                token=token,
-                fold_count=state.fold_count + 1,
-                similarity=similarity,
-                entity_names_2=state.entity_names_2 + (name,),
-                entity_index_2=index,
-                pieces=tuple(pieces),
-            )
-        mapped_unit = l2_normalize(vector @ context.map_entity)
-        row = np.zeros(entity_view.num_cols)
-        row[context.cols_global] = context.norm_out_2 @ mapped_unit
-        similarity[ElementKind.ENTITY] = entity_view.append_row(row)
-        global_id = len(state.entity_names_1)
-        index = dict(state.entity_index_1)
-        index[name] = global_id
-        local_index = dict(context.entity_index_1)
-        local_index[name] = context.entity_out_1.shape[0]
-        pieces[position] = replace(
-            context,
-            entity_index_1=local_index,
-            entity_out_1=np.concatenate([context.entity_out_1, vector[None, :]]),
-            norm_mapped_1=np.concatenate([context.norm_mapped_1, mapped_unit[None, :]]),
-            rows_global=np.concatenate(
-                [context.rows_global, np.array([global_id], dtype=np.int64)]
-            ),
-        )
-        return replace(
-            state,
-            token=token,
-            fold_count=state.fold_count + 1,
-            similarity=similarity,
-            entity_names_1=state.entity_names_1 + (name,),
-            entity_index_1=index,
-            pieces=tuple(pieces),
-        )
 
     # ------------------------------------------------------------------ cache
     def _cache_get(self, key: tuple):
@@ -1167,7 +688,6 @@ class AlignmentService:
         cost O(buckets) to compute.  ``snapshot`` carries the raw instrument
         state for exporters that want the full registry.
         """
-        self._queue_gauge.set(len(self._pending))
         requests = sum(counter.value for counter in self._req_counters.values())
         elapsed = max(time.perf_counter() - self._created, 1e-9)
         lookups = self._cache_hit_counter.value + self._cache_miss_counter.value
@@ -1177,10 +697,190 @@ class AlignmentService:
             "p50_latency_ms": self._lat_hist.quantile(0.5) * 1e3,
             "p99_latency_ms": self._lat_hist.quantile(0.99) * 1e3,
             "cache_hit_ratio": self._cache_hit_counter.value / lookups if lookups else 0.0,
-            "queue_depth": len(self._pending),
-            "flushes": self.stats.flushes,
             "hot_swaps": self.stats.swaps,
             "fold_ins": self.stats.folds,
             "uptime_seconds": elapsed,
             "snapshot": self.obs.snapshot(),
         }
+
+
+# ------------------------------------------------------------------- fold-in
+def _owning_piece(
+    state: ServingSnapshot,
+    name: str,
+    triples: Sequence[tuple[str, str, str]],
+    side: int,
+) -> int:
+    """Position of the piece owning all of ``name``'s neighbours and relations.
+
+    Pieces train independent embedding spaces, so the new entity can only be
+    optimised inside one of them: the (first) piece whose side-``side``
+    vocabulary contains every neighbour entity and every relation of
+    ``triples``.  A pipeline snapshot's single piece owns everything it
+    knows.  A delta whose neighbours span several pieces has no owner and
+    must go through the campaign retrain path.
+    """
+    global_index = state.entity_index_1 if side == 1 else state.entity_index_2
+    if name in global_index:
+        raise ServingError(f"entity {name!r} already exists on side {side}")
+    neighbours: set[str] = set()
+    relations: set[str] = set()
+    for head, relation, tail in triples:
+        relations.add(relation)
+        if head == name and tail != name:
+            neighbours.add(tail)
+        elif tail == name and head != name:
+            neighbours.add(head)
+        else:
+            raise ServingError(
+                f"fold-in triple {(head, relation, tail)!r} must connect "
+                f"{name!r} to an existing side-{side} entity"
+            )
+    for position, piece in enumerate(state.pieces):
+        entity_index, relation_index = piece.side(side)[:2]
+        if all(n in entity_index for n in neighbours) and all(
+            r in relation_index for r in relations
+        ):
+            return position
+    for neighbour in neighbours:
+        if neighbour not in global_index:
+            raise ServingError(f"unknown KG{side} entity {neighbour!r}")
+    global_relations = state.relation_index_1 if side == 1 else state.relation_index_2
+    for relation in relations:
+        if relation not in global_relations:
+            raise ServingError(f"unknown side-{side} relation {relation!r}")
+    raise ServingError(
+        f"fold-in of {name!r} spans multiple partitions (no single piece "
+        "owns all of its neighbours and relations); apply the delta "
+        "through PartitionedCampaign.apply_update() and hot_swap() the "
+        "retrained campaign instead"
+    )
+
+
+def _solve_fold_vector(
+    name: str,
+    triples: Sequence[tuple[str, str, str]],
+    side: int,
+    piece: _PieceFoldContext,
+    steps: int,
+    lr: float,
+) -> np.ndarray:
+    """The new entity's output-space embedding, refined against ``piece``'s model."""
+    entity_index, relation_index, entity_out, relation_out, model = piece.side(side)
+    head_role: list[tuple[np.ndarray, np.ndarray]] = []  # (r_vec, tail_vec)
+    tail_role: list[tuple[np.ndarray, np.ndarray]] = []  # (head_vec, r_vec)
+    estimates: list[np.ndarray] = []
+    for head, relation, tail in triples:
+        if relation not in relation_index:
+            raise ServingError(f"unknown side-{side} relation {relation!r}")
+        r_vec = relation_out[relation_index[relation]]
+        if head == name and tail in entity_index:
+            tail_vec = entity_out[entity_index[tail]]
+            head_role.append((r_vec, tail_vec))
+            estimates.append(tail_vec - r_vec)
+        elif tail == name and head in entity_index:
+            head_vec = entity_out[entity_index[head]]
+            tail_role.append((head_vec, r_vec))
+            estimates.append(head_vec + r_vec)
+        else:
+            raise ServingError(
+                f"fold-in triple {(head, relation, tail)!r} must connect "
+                f"{name!r} to an existing side-{side} entity"
+            )
+
+    # Minimise Σ ½·f_er² over the new row only.  The squared objective is
+    # what makes this stable: its gradient ``f_er · ∇f_er`` shrinks with
+    # the residual, whereas raw ``∇f_er`` has unit magnitude for
+    # norm-based scores and oscillates around the optimum.
+    vector = np.mean(estimates, axis=0)
+    scale = 1.0 / len(triples)
+    for _ in range(max(0, steps)):
+        grad = np.zeros_like(vector)
+        for r_vec, tail_vec in head_role:
+            score = model.score_np(vector, r_vec, tail_vec)
+            grad += score * model.score_np_grad_head(vector, r_vec, tail_vec)
+        for head_vec, r_vec in tail_role:
+            score = model.score_np(head_vec, r_vec, vector)
+            grad += score * model.score_np_grad_tail(head_vec, r_vec, vector)
+        delta = lr * scale * grad
+        vector -= delta
+        if float(np.linalg.norm(delta)) < 1e-6 * max(1.0, float(np.linalg.norm(vector))):
+            break  # converged — translational models often start at the optimum
+    return vector
+
+
+def _append_to_piece(
+    state: ServingSnapshot, position: int, side: int, name: str, vector: np.ndarray
+) -> ServingSnapshot:
+    """A new snapshot with ``vector`` folded into one piece (O(n·d) work).
+
+    The explicitly-computed similarity row/column (embedding channel only —
+    a cold entity has no structural evidence before the next full training
+    round) is non-zero only at the owning piece's global ids; every other
+    piece contributes zero — a folded entity has no cross-piece evidence,
+    exactly like a trained entity across the partition cut.  It is appended
+    through the view, so dense views grow their matrix while streamed views
+    collect it in a small tail shard.  Both the snapshot and the owning
+    piece's context grow by one entity, so later folds can neighbour on
+    this one.
+    """
+    similarity = dict(state.similarity)
+    entity_view = similarity[ElementKind.ENTITY]
+    token = f"{state.token}+fold{state.fold_count + 1}"
+    pieces = list(state.pieces)
+    piece = pieces[position]
+    if side == 2:
+        unit = l2_normalize(vector)
+        column = np.zeros(entity_view.num_rows)
+        column[piece.rows_global] = piece.norm_mapped_1 @ unit
+        similarity[ElementKind.ENTITY] = entity_view.append_col(column)
+        global_id = len(state.entity_names_2)
+        index = dict(state.entity_index_2)
+        index[name] = global_id
+        local_index = dict(piece.entity_index_2)
+        local_index[name] = piece.entity_out_2.shape[0]
+        pieces[position] = replace(
+            piece,
+            entity_index_2=local_index,
+            entity_out_2=np.concatenate([piece.entity_out_2, vector[None, :]]),
+            norm_out_2=np.concatenate([piece.norm_out_2, unit[None, :]]),
+            cols_global=np.concatenate(
+                [piece.cols_global, np.array([global_id], dtype=np.int64)]
+            ),
+        )
+        return replace(
+            state,
+            token=token,
+            fold_count=state.fold_count + 1,
+            similarity=similarity,
+            entity_names_2=state.entity_names_2 + (name,),
+            entity_index_2=index,
+            pieces=tuple(pieces),
+        )
+    mapped_unit = l2_normalize(vector @ piece.map_entity)
+    row = np.zeros(entity_view.num_cols)
+    row[piece.cols_global] = piece.norm_out_2 @ mapped_unit
+    similarity[ElementKind.ENTITY] = entity_view.append_row(row)
+    global_id = len(state.entity_names_1)
+    index = dict(state.entity_index_1)
+    index[name] = global_id
+    local_index = dict(piece.entity_index_1)
+    local_index[name] = piece.entity_out_1.shape[0]
+    pieces[position] = replace(
+        piece,
+        entity_index_1=local_index,
+        entity_out_1=np.concatenate([piece.entity_out_1, vector[None, :]]),
+        norm_mapped_1=np.concatenate([piece.norm_mapped_1, mapped_unit[None, :]]),
+        rows_global=np.concatenate(
+            [piece.rows_global, np.array([global_id], dtype=np.int64)]
+        ),
+    )
+    return replace(
+        state,
+        token=token,
+        fold_count=state.fold_count + 1,
+        similarity=similarity,
+        entity_names_1=state.entity_names_1 + (name,),
+        entity_index_1=index,
+        pieces=tuple(pieces),
+    )

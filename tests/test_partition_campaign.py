@@ -20,6 +20,7 @@ import pytest
 from repro import (
     DAAKG,
     DAAKGConfig,
+    KGDelta,
     PartitionConfig,
     PartitionedCampaign,
     make_benchmark,
@@ -337,12 +338,44 @@ def test_serving_merged_state(multi_campaign):
         assert matrix[row, pair.kg2.entity_id(best_name)] == pytest.approx(best_value)
     scores = service.score_pairs([(uris[0], pair.kg2.entities[0])])
     assert scores[0] == pytest.approx(matrix[0, 0])
-    # merged snapshots carry per-piece fold contexts and accept fold-in now;
-    # an unknown neighbour is still refused (through the deprecation shim)
+    # merged snapshots carry per-piece fold contexts and accept fold-in;
+    # an unknown neighbour is still refused
     assert service._state.fold_in_supported
-    with pytest.warns(DeprecationWarning, match="apply_delta"):
-        with pytest.raises(ServingError):
-            service.fold_in("brand-new", [("brand-new", "r", "no-such-entity")])
+    with pytest.raises(ServingError):
+        service.apply_delta(
+            KGDelta.single_entity("brand-new", [("brand-new", "r", "no-such-entity")])
+        )
+
+
+def _clone_delta(kg, name: str, side: int) -> KGDelta:
+    """A one-entity delta cloning the edges of ``kg``'s best-connected entity."""
+    victim = max(range(kg.num_entities), key=kg.entity_degree)
+    triples = [(name, kg.relations[r], kg.entities[t]) for r, t in kg.out_edges(victim)[:4]]
+    triples += [(kg.entities[h], kg.relations[r], name) for r, h in kg.in_edges(victim)[:4]]
+    return KGDelta.single_entity(name, triples, side=side)
+
+
+def test_serving_fold_in_pipeline_matches_one_piece_merge(single_partition_campaign):
+    # a pipeline served directly and the same pipeline served as the one
+    # piece of a merged campaign fold new entities to identical answers
+    pair = single_partition_campaign.dataset
+    direct = AlignmentService.from_pipeline(
+        single_partition_campaign.pipeline(0), cache_size=0
+    )
+    merged = AlignmentService.from_campaign(single_partition_campaign, cache_size=0)
+    for service in (direct, merged):
+        service.apply_delta(_clone_delta(pair.kg1, "fold:left", side=1))
+        service.apply_delta(_clone_delta(pair.kg2, "fold:right", side=2))
+    kg1_names = list(pair.kg1.entities) + ["fold:left"]
+    kg2_names = list(pair.kg2.entities) + ["fold:right"]
+    right_pairs = [(name, "fold:right") for name in kg1_names]
+    left_pairs = [("fold:left", name) for name in kg2_names]
+    for pairs in (right_pairs, left_pairs):
+        np.testing.assert_array_equal(direct.score_pairs(pairs), merged.score_pairs(pairs))
+    k = len(kg2_names)
+    assert direct.top_k_alignments(["fold:left"], k) == merged.top_k_alignments(
+        ["fold:left"], k
+    )
 
 
 def test_serving_hot_swap_campaign(multi_campaign, single_partition_campaign):

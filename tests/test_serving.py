@@ -1,4 +1,4 @@
-"""The online AlignmentService: queries, caching, batching, swap, fold-in."""
+"""The online AlignmentService: queries, caching, swap, fold-in."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.kg.elements import ElementKind
 from repro.serving import AlignmentService, ServingError
+from repro.updates import KGDelta
 
 
 @pytest.fixture(scope="module")
@@ -90,55 +91,11 @@ def test_cache_eviction_respects_capacity(fitted_pipeline):
     assert len(service._cache) == 2
 
 
-# ------------------------------------------------------------- micro-batching
-def test_microbatching_resolves_on_flush(fitted_pipeline, entity_matrix, value_tol):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=100)
-    uri = fitted_pipeline.kg1.entities[0]
-    ticket_top = service.enqueue_top_k(uri, k=3)
-    ticket_score = service.enqueue_score(uri, fitted_pipeline.kg2.entities[1])
-    assert not ticket_top.ready and not ticket_score.ready
-    resolved = service.flush()
-    assert resolved == 2
-    assert ticket_top.ready and ticket_score.ready
-    assert ticket_top.value == service.top_k_alignments([uri], k=3)[0]
-    assert ticket_score.value == pytest.approx(entity_matrix[0, 1], abs=value_tol)
-
-
-def test_microbatching_auto_flushes_at_max_batch(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=2)
-    t1 = service.enqueue_top_k(fitted_pipeline.kg1.entities[0], k=2)
-    assert not t1.ready
-    t2 = service.enqueue_top_k(fitted_pipeline.kg1.entities[1], k=2)
-    assert t1.ready and t2.ready  # second enqueue crossed the batch threshold
-
-
-def test_bad_query_fails_only_its_own_ticket(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=100)
-    good = service.enqueue_top_k(fitted_pipeline.kg1.entities[0], k=2)
-    bad = service.enqueue_top_k("no-such-entity", k=2)
-    also_good = service.enqueue_score(
-        fitted_pipeline.kg1.entities[1], fitted_pipeline.kg2.entities[1]
-    )
-    service.flush()
-    assert good.ready and bad.ready and also_good.ready
-    assert good.result() == service.top_k_alignments([fitted_pipeline.kg1.entities[0]], k=2)[0]
-    assert np.isfinite(also_good.result())
-    with pytest.raises(ServingError, match="unknown KG1 entity"):
-        bad.result()
-
-
+# -------------------------------------------------------------------- tokens
 def test_in_memory_tokens_are_unique_per_snapshot(fitted_pipeline):
     a = AlignmentService.from_pipeline(fitted_pipeline)
     b = AlignmentService.from_pipeline(fitted_pipeline)
     assert a.state_token != b.state_token  # same pipeline, distinct snapshots
-
-
-def test_ticket_result_flushes_lazily(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=100)
-    ticket = service.enqueue_top_k(fitted_pipeline.kg1.entities[2], k=2)
-    value = ticket.result()
-    assert ticket.ready
-    assert value == service.top_k_alignments([fitted_pipeline.kg1.entities[2]], k=2)[0]
 
 
 # ------------------------------------------------------------------- hot swap
@@ -175,7 +132,9 @@ def test_fold_in_appends_column_and_scores_like_clone(fitted_pipeline, entity_ma
     victim = max(range(kg2.num_entities), key=kg2.entity_degree)
     token_before = service.state_token
     n_before = service.num_entities(2)
-    report = service.fold_in("folded:new", _clone_triples(kg2, victim, "folded:new"))
+    report = service.apply_delta(
+        KGDelta.single_entity("folded:new", _clone_triples(kg2, victim, "folded:new"))
+    )[0]
     assert service.num_entities(2) == n_before + 1
     assert report.index == n_before
     assert service.state_token != token_before
@@ -196,7 +155,11 @@ def test_fold_in_side_1_appends_row(fitted_pipeline):
     service = AlignmentService.from_pipeline(fitted_pipeline)
     kg1 = fitted_pipeline.kg1
     victim = max(range(kg1.num_entities), key=kg1.entity_degree)
-    service.fold_in("folded:left", _clone_triples(kg1, victim, "folded:left"), side=1)
+    service.apply_delta(
+        KGDelta.single_entity(
+            "folded:left", _clone_triples(kg1, victim, "folded:left"), side=1
+        )
+    )
     ranked = service.top_k_alignments(["folded:left"], k=3)[0]
     assert len(ranked) == 3
     assert all(np.isfinite(score) for _, score in ranked)
@@ -209,7 +172,9 @@ def test_fold_in_cache_isolation(fitted_pipeline):
     uri = fitted_pipeline.kg1.entities[0]
     service.top_k_alignments([uri], k=2)
     victim = max(range(kg2.num_entities), key=kg2.entity_degree)
-    service.fold_in("folded:iso", _clone_triples(kg2, victim, "folded:iso"))
+    service.apply_delta(
+        KGDelta.single_entity("folded:iso", _clone_triples(kg2, victim, "folded:iso"))
+    )
     hits_before = service.stats.cache_hits
     service.top_k_alignments([uri], k=2)
     assert service.stats.cache_hits == hits_before  # token changed → cache miss
@@ -256,11 +221,17 @@ def test_fold_in_rejects_bad_input(fitted_pipeline):
     service = AlignmentService.from_pipeline(fitted_pipeline)
     kg2 = fitted_pipeline.kg2
     existing = kg2.entities[0]
-    with pytest.raises(ServingError, match="at least one triple"):
-        service.fold_in("x", [])
+    with pytest.raises(ServingError, match="at least one"):
+        service.apply_delta(KGDelta.single_entity("x", []))
     with pytest.raises(ServingError, match="already exists"):
-        service.fold_in(existing, [("a", kg2.relations[0], existing)])
+        service.apply_delta(
+            KGDelta.single_entity(existing, [("a", kg2.relations[0], existing)])
+        )
     with pytest.raises(ServingError, match="unknown side-2 relation"):
-        service.fold_in("x", [("x", "no-such-relation", existing)])
+        service.apply_delta(
+            KGDelta.single_entity("x", [("x", "no-such-relation", existing)])
+        )
     with pytest.raises(ServingError, match="must connect"):
-        service.fold_in("x", [("ghost", kg2.relations[0], "phantom")])
+        service.apply_delta(
+            KGDelta.single_entity("x", [("ghost", kg2.relations[0], "phantom")])
+        )

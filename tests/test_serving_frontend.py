@@ -16,10 +16,10 @@ from repro.serving import (
     ServingFrontend,
     resolve_frontend_config,
 )
+from repro.updates import KGDelta
 
 
 def make_service(fitted_pipeline, **kwargs) -> AlignmentService:
-    kwargs.setdefault("max_batch", 64)
     return AlignmentService.from_pipeline(fitted_pipeline, **kwargs)
 
 
@@ -72,38 +72,66 @@ def test_submit_resolves_via_worker_pool(fitted_pipeline):
     assert stats["dispatched_batches"] >= 1
 
 
-def test_enqueue_routes_through_dispatcher_and_back(fitted_pipeline):
+def test_bad_query_fails_only_its_own_ticket(fitted_pipeline):
     service = make_service(fitted_pipeline, cache_size=0)
-    frontend = ServingFrontend(
-        service, FrontendConfig(num_workers=1, default_deadline_ms=20), resolve_env=False
-    )
-    uri = fitted_pipeline.kg1.entities[0]
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1), resolve_env=False)
+    kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
+    # not started: all three tickets are admitted before the first flush
+    good = frontend.submit_top_k(kg1.entities[0], k=2)
+    bad = frontend.submit_top_k("no-such-entity", k=2)
+    also_good = frontend.submit_score(kg1.entities[1], kg2.entities[1])
     with frontend:
-        ticket = service.enqueue_top_k(uri, k=2)
-        assert ticket.dispatcher is frontend
-        assert not service._pending  # routed to the dispatcher, not the local queue
-        value = ticket.result(timeout=5)
-        assert value == service.top_k_alignments([uri], k=2)[0]
-        # the caller's result() waited on the flush loop — the service-side
-        # caller-driven flush path was never taken
-        assert service.stats.flushes == 0
-    # detached again: the legacy caller-driven path is restored
-    legacy = service.enqueue_top_k(uri, k=2)
-    assert legacy.dispatcher is None
-    assert service._pending
-    assert legacy.result() == value
-    assert service.stats.flushes == 1
+        assert frontend.drain(timeout=10)
+    assert good.ready and bad.ready and also_good.ready
+    assert good.result() == service.top_k_alignments([kg1.entities[0]], k=2)[0]
+    assert np.isfinite(also_good.result())
+    with pytest.raises(ServingError, match="unknown KG1 entity"):
+        bad.result()
 
 
-def test_double_attach_rejected(fitted_pipeline):
-    service = make_service(fitted_pipeline)
-    first = ServingFrontend(service, resolve_env=False).start()
-    second = ServingFrontend(service, resolve_env=False)
-    try:
-        with pytest.raises(ServingError, match="already attached"):
-            second.start()
-    finally:
-        first.stop()
+def test_bad_k_is_rejected_at_admission(fitted_pipeline):
+    service = make_service(fitted_pipeline, cache_size=0)
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1), resolve_env=False)
+    kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
+    pair = (kg1.entities[1], kg2.entities[2])
+    good = frontend.submit_top_k(kg1.entities[0], k=2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        frontend.submit_top_k(kg1.entities[3], k=0)
+    score = frontend.submit_score(*pair)
+    with frontend:
+        assert good.result(timeout=5) == service.top_k_alignments([kg1.entities[0]], k=2)[0]
+        assert score.result(timeout=5) == float(service.score_pairs([pair])[0])
+    stats = frontend.stats()
+    assert stats["submitted_total"] == 2  # the rejected query was never admitted
+    assert stats["dispatched_batches"] == 1
+
+
+def test_completed_at_is_stamped_before_ready(fitted_pipeline):
+    service = make_service(fitted_pipeline, cache_size=0)
+    answer_scores = service.score_pairs
+    release = threading.Event()
+
+    def slow_score_pairs(pairs):
+        release.wait(timeout=5)
+        return answer_scores(pairs)
+
+    service.score_pairs = slow_score_pairs
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1), resolve_env=False)
+    kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
+    top = frontend.submit_top_k(kg1.entities[0], k=2)
+    score = frontend.submit_score(kg1.entities[0], kg2.entities[0])
+    with frontend:
+        try:
+            deadline = time.perf_counter() + 5
+            while not top.ready and time.perf_counter() < deadline:
+                time.sleep(0.0005)
+            # the top-k group is answered while the score group still runs
+            assert top.ready and not score.ready
+            assert top.completed_at > 0
+        finally:
+            release.set()
+        assert np.isfinite(score.result(timeout=5))
+    assert score.completed_at >= top.completed_at > 0
 
 
 # ------------------------------------------------------------- backpressure
@@ -136,10 +164,12 @@ def test_backpressure_sheds_with_typed_error_then_drains(fitted_pipeline):
 
 
 def test_overload_burst_sheds_and_recovers(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0, max_batch=16)
+    service = make_service(fitted_pipeline, cache_size=0)
     frontend = ServingFrontend(
         service,
-        FrontendConfig(num_workers=1, max_queue_depth=32, default_deadline_ms=200),
+        FrontendConfig(
+            num_workers=1, max_queue_depth=32, max_batch=16, default_deadline_ms=200
+        ),
         resolve_env=False,
     )
     uris = list(fitted_pipeline.kg1.entities)
@@ -189,9 +219,9 @@ def test_lone_request_flushes_at_half_deadline(fitted_pipeline):
 
 
 def test_full_batch_flushes_without_waiting_for_deadline(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0, max_batch=8)
+    service = make_service(fitted_pipeline, cache_size=0)
     frontend = ServingFrontend(
-        service, FrontendConfig(num_workers=1), resolve_env=False
+        service, FrontendConfig(num_workers=1, max_batch=8), resolve_env=False
     )
     uris = list(fitted_pipeline.kg1.entities[:8])
     with frontend:
@@ -256,7 +286,7 @@ def test_hot_swap_and_fold_in_under_sustained_storm(fitted_pipeline):
             ("storm:new", kg2.relations[r], kg2.entities[t])
             for r, t in kg2.out_edges(victim)[:6]
         ]
-        report = service.fold_in("storm:new", triples)
+        report = service.apply_delta(KGDelta.single_entity("storm:new", triples))[0]
         tokens.add(report.token)
         time.sleep(0.15)
         stop.set()

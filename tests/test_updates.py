@@ -387,32 +387,11 @@ def test_serving_fold_spanning_pieces_is_refused(trained_campaign):
         )
 
 
-def test_fold_in_legacy_shim_warns_and_delegates(trained_campaign):
-    service = AlignmentService.from_campaign(trained_campaign)
-    anchor = trained_campaign.partition.pieces[0].pair.kg2.entities[1]
-    relation = trained_campaign.dataset.kg2.relations[0]
-    with pytest.warns(DeprecationWarning, match="apply_delta"):
-        report = service.fold_in("lw2:legacy", [("lw2:legacy", relation, anchor)])
-    assert report.name == "lw2:legacy"
-    assert report.side == 2
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="side"):
-            service.fold_in("x", [("x", relation, anchor)], side=3)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ServingError, match="at least one triple"):
-            service.fold_in("x", [])
-
-
 def test_fold_in_unsupported_state_raises(trained_campaign):
     service = AlignmentService.from_campaign(trained_campaign)
-    # a genuinely degraded snapshot: neither per-side models nor piece
-    # contexts — e.g. a foreign snapshot that shipped matrices only
-    service.hot_swap(
-        dc_replace(
-            service._state, model_1=None, model_2=None, pieces=None,
-            fold_in_supported=False,
-        )
-    )
+    # a genuinely degraded snapshot without piece fold contexts — e.g. a
+    # foreign snapshot that shipped matrices only
+    service.hot_swap(dc_replace(service._state, pieces=()))
     with pytest.raises(ServingError, match="not supported"):
         service.apply_delta(KGDelta.single_entity("x", [("x", "r", "y")]))
     assert not service._state.fold_in_supported
