@@ -8,17 +8,17 @@ compares them headline-by-headline against the committed baselines and fails
 * total ``wall_time_seconds`` regresses by more than ``--max-wall-ratio``
   (default 1.2, i.e. >20% slower) — tiny baselines below
   ``--min-wall-seconds`` are exempt, their noise exceeds any honest signal;
-* any ``recall*`` headline metric drops **at all** — recall floors are
-  contractual (the ANN backend calibrates against them), so they gate
-  strictly with no epsilon;
+* any ``recall*`` headline metric drops **at all** — recall is a pure
+  function of seeded data and deterministic code, so a drop is a change in
+  what the code retrieves, never noise, and it gates with no epsilon;
 * any other *accuracy-like* headline metric (H@1/MRR/F1/precision/speedup/
   power/…, where higher is better) drops by more than
   ``--accuracy-epsilon``;
 * a boolean headline invariant flips from true to false.
 
 A fresh artifact with no committed baseline (e.g. a PR that adds a new
-benchmark, or baselines predating ``BENCH_ann.json``) is tolerated with a
-loud WARN rather than a failure — commit the fresh artifact to adopt it.
+benchmark) is tolerated with a loud WARN rather than a failure — commit the
+fresh artifact to adopt it.
 
 Time-like headline metrics (``*_seconds``, ``*_mb``, latencies) are reported
 for context but only the benchmark's total wall time gates, keeping the wall
@@ -41,9 +41,9 @@ import json
 import os
 import sys
 
-# Recall floors gate strictly: the ANN backend calibrates its probe width
-# against a configured recall floor, so any drop is a contract violation,
-# not noise (values are deterministic — seeded data, seeded index).
+# Recall headlines gate strictly: they are deterministic (seeded data, exact
+# kernels), so any drop is a real change in what the code retrieves, not
+# noise.
 RECALL_FLOOR_MARKERS = ("recall",)
 ACCURACY_MARKERS = (
     "h@", "h1", "h10", "hits", "mrr", "f1", "precision", "accuracy",

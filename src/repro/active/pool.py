@@ -18,6 +18,7 @@ from repro.alignment.model import JointAlignmentModel
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
+from repro.runtime.streaming import mutual_top_n
 from repro.utils.math import cosine_similarity_matrix, top_k_rows
 
 
@@ -161,7 +162,9 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
             in_right_top[top_for_right, np.arange(kg2.num_entities)[:, None]] = True
         lefts, rights = np.nonzero(in_left_top & in_right_top)
     else:
-        lefts, rights = engine.mutual_top_n_pairs(signatures_1, signatures_2, config.top_n)
+        lefts, rights = mutual_top_n(
+            signatures_1, signatures_2, config.top_n, engine.block_size, engine.workers
+        )
     entity_pairs = [entity_pair(int(a), int(b)) for a, b in zip(lefts, rights)]
 
     relation_pairs = (

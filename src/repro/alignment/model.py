@@ -76,7 +76,6 @@ class JointAlignmentModel(Module):
         propagation_alpha: float = 0.6,
         similarity_backend: str | None = None,
         similarity_workers: int | None = None,
-        similarity_ann=None,
         rng: RandomState = None,
     ) -> None:
         if model1.dim != model2.dim:
@@ -106,7 +105,7 @@ class JointAlignmentModel(Module):
         self._snapshot_version = 0
         self._landmark_version = 0
         self.similarity = SimilarityEngine(
-            self, backend=similarity_backend, workers=similarity_workers, ann=similarity_ann
+            self, backend=similarity_backend, workers=similarity_workers
         )
 
         entity_dim = model1.dim

@@ -19,6 +19,7 @@ from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.partition import PartitionConfig
 from repro.active.pool import PoolConfig
+from repro.runtime.backends import BACKEND_NAMES
 
 C = TypeVar("C")
 
@@ -78,17 +79,11 @@ class DAAKGConfig:
     inference: InferencePowerConfig = InferencePowerConfig()
     pool: PoolConfig = PoolConfig()
     # Similarity runtime: "dense" caches full N×M matrices, "sharded" streams
-    # cosine tiles with running top-k and never materialises N×M, "ann"
-    # answers candidate queries sub-linearly from per-channel inverted-list
-    # indexes with exact re-ranking.  The REPRO_SIMILARITY_BACKEND /
-    # REPRO_SIMILARITY_WORKERS environment variables override these per
-    # process (see repro.runtime.backends), and REPRO_SIMILARITY_ANN_NLIST /
-    # _NPROBE / _MIN_RECALL override the ANN knobs (see repro.runtime.ann).
+    # cosine tiles with running top-k and never materialises N×M.  The
+    # REPRO_SIMILARITY_BACKEND / REPRO_SIMILARITY_WORKERS environment
+    # variables override these per process (see repro.runtime.backends).
     similarity_backend: str = "dense"
     similarity_workers: int = 1
-    ann_nlist: int = 0  # inverted lists per channel; 0 = auto (~sqrt of cols)
-    ann_nprobe: int = 8  # lists probed per query (raised by calibration)
-    ann_min_recall: float = 0.95  # sampled top-k recall floor at index build
     # Campaign partitioning: how PartitionedCampaign cuts the pair into
     # rho-bounded cross-linked sub-pairs and how wide its worker pool is.
     # The REPRO_PARTITION_COUNT / REPRO_PARTITION_WORKERS /
@@ -108,16 +103,10 @@ class DAAKGConfig:
             raise ValueError("base_model must be one of transe, rotate, compgcn")
         if self.entity_dim <= 0 or self.class_dim <= 0:
             raise ValueError("embedding dimensions must be positive")
-        if self.similarity_backend.lower() not in ("dense", "sharded", "ann"):
-            raise ValueError("similarity_backend must be 'dense', 'sharded' or 'ann'")
+        if self.similarity_backend.lower() not in BACKEND_NAMES:
+            raise ValueError(f"similarity_backend must be one of {BACKEND_NAMES}")
         if self.similarity_workers < 1:
             raise ValueError("similarity_workers must be >= 1")
-        if self.ann_nlist < 0:
-            raise ValueError("ann_nlist must be >= 0 (0 = auto)")
-        if self.ann_nprobe < 1:
-            raise ValueError("ann_nprobe must be >= 1")
-        if not (0.0 < self.ann_min_recall <= 1.0):
-            raise ValueError("ann_min_recall must be in (0, 1]")
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> dict:

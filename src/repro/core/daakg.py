@@ -39,7 +39,6 @@ from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind, Triple
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair
-from repro.runtime.ann import AnnParams
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng, spawn
 from repro.utils.timer import Timer
@@ -162,11 +161,6 @@ class DAAKG:
             use_structural_channel=config.use_structural_channel,
             similarity_backend=config.similarity_backend,
             similarity_workers=config.similarity_workers,
-            similarity_ann=AnnParams(
-                nlist=config.ann_nlist,
-                nprobe=config.ann_nprobe,
-                min_recall=config.ann_min_recall,
-            ),
             rng=self.rng,
         )
         alignment_config = replace(
@@ -267,8 +261,7 @@ class DAAKG:
         """Greedy one-to-one matching over streamed above-threshold candidates.
 
         Same tie-sensitive greedy contract as mining: candidates come from
-        the backend's row-major threshold scan (exact on every backend — the
-        ANN backend prunes with covering radii) and go through
+        the backend's row-major threshold scan and go through
         ``resolve_conflicts`` (stable sort by descending score), so there is
         exactly one implementation of each half.
         """

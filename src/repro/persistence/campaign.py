@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with active
 
 logger = get_logger(__name__)
 
-CAMPAIGN_FORMAT_VERSION = 1
+CAMPAIGN_FORMAT_VERSION = 2  # 2: DAAKGConfig lost the ann_* fields
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 CAMPAIGN_DATASET_FILE = "dataset.npz"
 

@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with core/active
 
 logger = get_logger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: DAAKGConfig lost the ann_* fields
 ARRAYS_FILE = "arrays.npz"
 MANIFEST_FILE = "manifest.json"
 
@@ -236,11 +236,6 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
         "format_version": FORMAT_VERSION,
         "kind": "daakg-checkpoint",
         "similarity_backend": engine.backend_name,
-        # ANN indexes are *derived* state — cached per engine version token
-        # and rebuilt on demand after restore — so only the knobs that shaped
-        # any saved top-k tables are stamped, never the indexes themselves
-        # (a checkpointed index could silently go stale against the arrays).
-        "similarity_ann": dataclasses.asdict(engine.ann_params),
         "config": config_to_dict(daakg.config),
         "fitted": daakg.is_fitted,
         "training_seconds": daakg.training_time.elapsed,
@@ -371,15 +366,8 @@ def restore_pipeline(checkpoint: Checkpoint) -> "DAAKG":
     engine.invalidate()
     # Re-seed saved top-k tables when the restored engine runs the same
     # backend kind the checkpoint was written with (restoration is bit-exact,
-    # so the tables describe exactly the restored similarity state).  ANN
-    # tables additionally require matching knobs — on the ANN backend the
-    # table content depends on the probe configuration, and a manifest
-    # predating the stamp cannot prove a match.  The ANN *indexes* are never
-    # in the checkpoint: they are derived state, rebuilt lazily under the
-    # restored engine's version token on first query.
+    # so the tables describe exactly the restored similarity state).
     same_backend = manifest.get("similarity_backend") == engine.backend_name
-    if same_backend and engine.backend_name == "ann":
-        same_backend = manifest.get("similarity_ann") == dataclasses.asdict(engine.ann_params)
     if same_backend and manifest.get("has_snapshot"):
         topk = checkpoint.section("topk")
         if topk:

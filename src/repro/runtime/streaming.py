@@ -368,81 +368,7 @@ def stream_threshold_candidates(
     )
 
 
-# ------------------------------------------------- candidate-restricted top-k
-def rerank_pairs_topk(
-    channels: CosineChannels,
-    row_ids: np.ndarray,
-    indptr: np.ndarray,
-    candidate_cols: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-``k`` over per-row *candidate lists* (the ANN re-rank kernel).
-
-    ``row_ids[i]``'s candidates are ``candidate_cols[indptr[i]:indptr[i+1]]``
-    (global column ids, ascending).  Both the ranking scores and the returned
-    values come from :meth:`CosineChannels.pair_values` — the same exact
-    kernel the serving views' ``gather`` uses — which is batch-composition
-    invariant, so a returned ``(row, col, value)`` is bit-identical to the
-    exact pair score no matter which candidate set it was ranked inside.
-    Rows with fewer than ``k`` candidates pad with ``-inf`` values and a
-    ``num_cols`` sentinel index (callers guarantee enough candidates when
-    they need full-width output).  Candidate selection — not this re-rank —
-    is the only approximate step of an ANN query.
-    """
-    row_ids = np.asarray(row_ids, dtype=np.int64)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    candidate_cols = np.asarray(candidate_cols, dtype=np.int64)
-    n_rows = row_ids.shape[0]
-    counts = np.diff(indptr)
-    width = int(counts.max()) if n_rows else 0
-    k = min(k, max(width, 0))
-    if k <= 0 or n_rows == 0:
-        return (
-            np.empty((n_rows, max(k, 0)), dtype=np.int64),
-            np.empty((n_rows, max(k, 0)), dtype=float),
-        )
-    values = channels.pair_values(np.repeat(row_ids, counts), candidate_cols)
-    local = np.repeat(np.arange(n_rows), counts)
-    pos = np.arange(candidate_cols.shape[0]) - np.repeat(indptr[:-1], counts)
-    padded_v = np.full((n_rows, width), -np.inf)
-    padded_i = np.full((n_rows, width), channels.num_cols, dtype=np.int64)
-    padded_v[local, pos] = values
-    padded_i[local, pos] = candidate_cols
-    top_v, top_i = canonical_topk(padded_v, padded_i, k)
-    return top_i, top_v
-
-
 # ------------------------------------------------------------- mutual top-N
-def mutual_pairs_from_topn(
-    top_left: np.ndarray, top_right: np.ndarray, block: int = DEFAULT_STREAM_BLOCK
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mutual pairs from two per-side top-N index tables (shared membership).
-
-    ``top_left[i]`` holds row ``i``'s best columns, ``top_right[j]`` column
-    ``j``'s best rows; a pair survives when each side ranks the other.  The
-    membership check sorts each ``top_right`` row once and binary-searches
-    every candidate in bounded blocks.  Returns ``(lefts, rights)`` sorted
-    row-major like ``np.nonzero`` — shared by the exact streamed
-    :func:`mutual_top_n` and the ANN backend's approximate pool filter.
-    """
-    if top_left.size == 0 or top_right.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    sorted_right = np.sort(top_right, axis=1)
-    width = sorted_right.shape[1]
-    num_left = top_left.shape[0]
-    lefts = np.repeat(np.arange(num_left, dtype=np.int64), top_left.shape[1])
-    rights = top_left.reshape(-1)
-    member = np.empty(rights.shape[0], dtype=bool)
-    for cb in _as_blocks(rights.shape[0], max(block * block // max(width, 1), 1)):
-        rows = sorted_right[rights[cb]]  # (b, width), sorted ascending
-        idx = np.clip(np.sum(rows < lefts[cb, None], axis=1), 0, width - 1)
-        member[cb] = rows[np.arange(rows.shape[0]), idx] == lefts[cb]
-    lefts, rights = lefts[member], rights[member]
-    order = np.lexsort((rights, lefts))
-    return lefts[order], rights[order]
-
-
 def mutual_top_n(
     left_factors: np.ndarray,
     right_factors: np.ndarray,
@@ -464,4 +390,18 @@ def mutual_top_n(
     channels = CosineChannels([ChannelPair.from_raw(left_factors, right_factors)])
     top_left, _ = stream_topk(channels, n, block, workers)
     top_right, _ = stream_topk(channels.transpose(), n, block, workers)
-    return mutual_pairs_from_topn(top_left, top_right, block)
+    # membership: is i among column j's top rows?  Sort each top_right row
+    # once, then binary-search every candidate, in bounded blocks.
+    sorted_right = np.sort(top_right, axis=1)
+    width = sorted_right.shape[1]
+    num_left = left_factors.shape[0]
+    lefts = np.repeat(np.arange(num_left, dtype=np.int64), top_left.shape[1])
+    rights = top_left.reshape(-1)
+    member = np.empty(rights.shape[0], dtype=bool)
+    for cb in _as_blocks(rights.shape[0], max(block * block // max(width, 1), 1)):
+        rows = sorted_right[rights[cb]]  # (b, width), sorted ascending
+        idx = np.clip(np.sum(rows < lefts[cb, None], axis=1), 0, width - 1)
+        member[cb] = rows[np.arange(rows.shape[0]), idx] == lefts[cb]
+    lefts, rights = lefts[member], rights[member]
+    order = np.lexsort((rights, lefts))
+    return lefts[order], rights[order]

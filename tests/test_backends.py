@@ -239,9 +239,13 @@ class TestBackendSelection:
         monkeypatch.delenv("REPRO_SIMILARITY_BACKEND")
         assert resolve_backend_name("dense") == "dense"
         assert resolve_backend_name(None) == "dense"
-        assert resolve_backend_name("ann") == "ann"
+        with pytest.raises(ValueError):
+            resolve_backend_name("ann")
         with pytest.raises(ValueError):
             resolve_backend_name("faiss")
+        monkeypatch.setenv("REPRO_SIMILARITY_BACKEND", "ann")
+        with pytest.raises(ValueError):
+            resolve_backend_name("dense")
 
     def test_workers_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIMILARITY_WORKERS", "3")
@@ -256,6 +260,8 @@ class TestBackendSelection:
         assert config.similarity_backend == "sharded"
         with pytest.raises(ValueError):
             DAAKGConfig(similarity_backend="faiss")
+        with pytest.raises(ValueError):
+            DAAKGConfig(similarity_backend="ann")
         with pytest.raises(ValueError):
             DAAKGConfig(similarity_workers=0)
         # round-trips through the JSON form (checkpoint manifests)

@@ -310,6 +310,29 @@ def test_campaign_checkpoint_membership_guard(campaign_config, loop_config, tmp_
         PartitionedCampaign.load(path)
 
 
+@pytest.mark.parametrize("version", [1, 999])
+def test_campaign_checkpoint_unsupported_format_version(campaign_config, tmp_path, version):
+    """Version 1 predates the removal of the ``ann_*`` config keys."""
+    import json
+
+    from repro.persistence import CheckpointError
+
+    campaign = PartitionedCampaign(
+        campaign_pair(),
+        campaign_config,
+        strategy="uncertainty",
+        partition=PartitionConfig(num_partitions=2),
+    )
+    path = tmp_path / "campaign"
+    campaign.save(path)
+    manifest_path = path / "campaign.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="campaign format version"):
+        PartitionedCampaign.load(path)
+
+
 def test_campaign_checkpoint_before_run(campaign_config, tmp_path):
     campaign = PartitionedCampaign(
         campaign_pair(),

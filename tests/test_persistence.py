@@ -15,6 +15,7 @@ from repro.core.config import config_from_dict, config_to_dict
 from repro.inference.power import InferencePowerConfig
 from repro.kg.elements import ElementKind
 from repro.persistence import (
+    FORMAT_VERSION,
     CheckpointError,
     load_checkpoint,
     pair_from_arrays,
@@ -56,7 +57,7 @@ def test_pair_codec_round_trip(tiny_pair):
 # --------------------------------------------------------------- format / errors
 def test_checkpoint_files_and_manifest(checkpoint_dir, fitted_pipeline):
     manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == FORMAT_VERSION
     assert manifest["fitted"] is True
     assert manifest["config"] == fitted_pipeline.config.to_dict()
     assert manifest["arrays"]["sha256"]
@@ -79,16 +80,17 @@ def test_load_corrupt_arrays_fails(checkpoint_dir, tmp_path):
         load_checkpoint(broken)
 
 
-def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
+@pytest.mark.parametrize("version", [1, 999])
+def test_unsupported_format_version_fails(checkpoint_dir, tmp_path, version):
     import shutil
 
-    future = tmp_path / "future"
-    shutil.copytree(checkpoint_dir, future)
-    manifest = json.loads((future / "manifest.json").read_text())
-    manifest["format_version"] = 999
-    (future / "manifest.json").write_text(json.dumps(manifest))
+    other = tmp_path / "other"
+    shutil.copytree(checkpoint_dir, other)
+    manifest = json.loads((other / "manifest.json").read_text())
+    manifest["format_version"] = version
+    (other / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="format version"):
-        load_checkpoint(future)
+        load_checkpoint(other)
 
 
 # ------------------------------------------------------------------- round trip
