@@ -5,6 +5,9 @@ the element pairs whose inference power from those labels exceeds the
 threshold κ, and measures which fraction of them are true matches.  The
 paper's shape: the measurement is accurate (≳0.75), and TransE — whose tail
 bound is exact — is the most accurate, with the sampled-bound models behind.
+
+A model that infers no pair above κ has no accuracy: its headline is ``null``
+(not ``0.0``) and ``detail`` records how many pairs each model inferred.
 """
 
 import time
@@ -18,10 +21,11 @@ from repro.kg.elements import ElementKind
 
 MODELS = ["transe", "rotate", "compgcn"]
 
-_RESULTS: dict[str, float] = {}
+_RESULTS: dict[str, float | None] = {}
+_INFERRED: dict[str, int] = {}
 
 
-def _accuracy(base_model: str) -> float:
+def _accuracy(base_model: str) -> float | None:
     if base_model in _RESULTS:
         return _RESULTS[base_model]
     start = time.perf_counter()
@@ -37,13 +41,17 @@ def _accuracy(base_model: str) -> float:
         ElementKind.RELATION: {tuple(r) for r in pipeline.pair.relation_match_ids().tolist()},
         ElementKind.CLASS: {tuple(r) for r in pipeline.pair.class_match_ids().tolist()},
     }
-    _RESULTS[base_model] = inference_accuracy(estimator, labelled, gold)
+    accuracy = inference_accuracy(estimator, labelled, gold)
+    elapsed = time.perf_counter() - start
+    _RESULTS[base_model] = accuracy
+    _INFERRED[base_model] = len(estimator.inferred_pairs(labelled))
     record_bench(
         "table6",
-        wall_time_seconds=time.perf_counter() - start,
-        headline={f"{base_model}:accuracy": round(_RESULTS[base_model], 4)},
+        wall_time_seconds=elapsed,
+        headline={f"{base_model}:accuracy": None if accuracy is None else round(accuracy, 4)},
+        detail={f"{base_model}:inferred": _INFERRED[base_model]},
     )
-    return _RESULTS[base_model]
+    return accuracy
 
 
 @pytest.mark.parametrize("base_model", MODELS)
@@ -52,11 +60,22 @@ def test_table6_inference_accuracy(benchmark, base_model):
     print_table(
         f"Table 6: inference power accuracy ({BENCH_DATASETS[0]})",
         ["Model", "Accuracy"],
-        [[base_model, f"{accuracy:.3f}"]],
+        [[base_model, "no inferred pairs" if accuracy is None else f"{accuracy:.3f}"]],
     )
-    assert 0.0 <= accuracy <= 1.0
+    if accuracy is None:
+        assert _INFERRED[base_model] == 0
+    else:
+        assert _INFERRED[base_model] > 0
+        assert 0.0 <= accuracy <= 1.0
 
 
 def test_table6_transe_bound_is_competitive():
-    """TransE's exact bound should be at least as accurate as CompGCN's sampled bound."""
-    assert _accuracy("transe") >= _accuracy("compgcn") - 0.1
+    """TransE's exact bound should be at least as accurate as CompGCN's sampled bound.
+
+    TransE must infer something; when CompGCN infers nothing there is no
+    CompGCN accuracy to compare against, and TransE's measured one stands.
+    """
+    transe, compgcn = _accuracy("transe"), _accuracy("compgcn")
+    assert transe is not None, "TransE inferred no pair above the threshold"
+    if compgcn is not None:
+        assert transe >= compgcn - 0.1

@@ -8,12 +8,16 @@ group; the estimated inference power is then computed on the much smaller
 quotient graph (partitions as super-nodes), and the greedy selection of
 Algorithm 1 runs with that estimate.  Theorem 6.2 gives the resulting
 ``ρ^μ (1 − 1/e)`` approximation guarantee.
+
+Partitioning works on the alignment graph's integer edge arrays: node ids
+index ``graph.entity_pairs`` and relation ids ``graph.relation_pairs``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.active.selection import GreedySelectionConfig, greedy_select
 from repro.inference.alignment_graph import AlignmentGraph
@@ -40,98 +44,101 @@ class PartitionSelectionConfig:
             raise ValueError("max_partitions must be >= 1")
 
 
+def _edge_powers(graph: AlignmentGraph, estimator: InferencePowerEstimator) -> np.ndarray:
+    """Every edge's power in CSR order, computed in ``graph.edges`` order (the
+    order in which the estimator's sampled tail solves draw from its RNG)."""
+    return np.array([estimator.edge_power(edge) for edge in graph.edges])[graph.edge_index]
+
+
 def partition_pool(
     graph: AlignmentGraph,
     estimator: InferencePowerEstimator,
     config: PartitionSelectionConfig | None = None,
-) -> dict[ElementPair, int]:
+) -> np.ndarray:
     """Split entity pairs into groups following Algorithm 2's refinement loop.
 
-    Returns a mapping from entity pair to partition id.  Pairs with no edges
-    keep partition 0.
+    Returns the partition id of every entity pair, aligned with
+    ``graph.entity_pairs``.  Pairs with no edges keep partition 0.
+
+    A pass splits every partition in which some member keeps more than
+    ``1 − ρ`` of its out-edge power inside: the members with an inner out-edge
+    labelled by the relation pair of most inner power (the first met on a tie)
+    move to a new partition.  A pass reads the partitions as they stood when
+    it began, so all of them are refined at once; new ids follow each split
+    partition's first member, up to ``max_partitions``.
     """
     config = config or PartitionSelectionConfig()
-    edge_power: dict[tuple[ElementPair, ElementPair], float] = {}
-    edge_relation: dict[tuple[ElementPair, ElementPair], ElementPair] = {}
-    for edge in graph.edges:
-        power = estimator.edge_power(edge)
-        key = (edge.source, edge.target)
-        if power > edge_power.get(key, 0.0):
-            edge_power[key] = power
-            edge_relation[key] = edge.relation
+    num_nodes, num_relations = len(graph.entity_pairs), len(graph.relation_pairs)
+    source, relation, target = graph.source, graph.relation, graph.target
+    # every edge carries the best power among the edges joining its endpoints
+    _, link = np.unique(source * num_nodes + target, return_inverse=True)
+    best = np.zeros(link.size)
+    np.maximum.at(best, link, _edge_powers(graph, estimator))
+    power = best[link]
 
-    partition_of: dict[ElementPair, int] = {pair: 0 for pair in graph.entity_pairs}
+    part = np.zeros(num_nodes, dtype=np.int64)
     num_partitions = 1
-    changed = True
-    while changed and num_partitions < config.max_partitions:
-        changed = False
-        members: dict[int, list[ElementPair]] = defaultdict(list)
-        for pair, pid in partition_of.items():
-            members[pid].append(pair)
-        for pid, pairs in list(members.items()):
-            if len(pairs) <= 1:
-                continue
-            pair_set = set(pairs)
-            # find the minimum outer-power ratio over members of this partition
-            worst_ratio = 1.0
-            for pair in pairs:
-                inner = outer = 0.0
-                for edge in graph.out_edges.get(pair, []):
-                    power = edge_power.get((edge.source, edge.target), 0.0)
-                    if edge.target in pair_set:
-                        inner += power
-                    else:
-                        outer += power
-                total = inner + outer
-                if total > 0:
-                    worst_ratio = min(worst_ratio, outer / total)
-            if worst_ratio >= config.rho:
-                continue
-            # split on the relation pair carrying the most intra-partition power
-            relation_power: dict[ElementPair, float] = defaultdict(float)
-            for pair in pairs:
-                for edge in graph.out_edges.get(pair, []):
-                    if edge.target in pair_set:
-                        relation_power[edge.relation] += edge_power.get(
-                            (edge.source, edge.target), 0.0
-                        )
-            if not relation_power:
-                continue
-            split_relation = max(relation_power.items(), key=lambda item: item[1])[0]
-            moved = {
-                edge.source
-                for pair in pairs
-                for edge in graph.out_edges.get(pair, [])
-                if edge.relation == split_relation and edge.target in pair_set
-            }
-            if not moved or len(moved) == len(pairs):
-                continue
-            for pair in moved:
-                partition_of[pair] = num_partitions
-            num_partitions += 1
-            changed = True
-            if num_partitions >= config.max_partitions:
-                break
-    logger.debug("partitioned %d entity pairs into %d groups", len(partition_of), num_partitions)
-    return partition_of
+    while num_partitions < config.max_partitions:
+        inner = part[source] == part[target]
+        inner_power = np.bincount(source[inner], power[inner], minlength=num_nodes)
+        outer_power = np.bincount(source[~inner], power[~inner], minlength=num_nodes)
+        total = inner_power + outer_power
+        ratio = np.divide(outer_power, total, out=np.ones(num_nodes), where=total > 0)
+        worst_ratio = np.ones(num_partitions)
+        np.minimum.at(worst_ratio, part, ratio)
+
+        # inner power per (partition, relation pair), summed in CSR order
+        inner_source, inner_relation = source[inner], relation[inner]
+        inner_part = part[inner_source]
+        keys, first, slot = np.unique(
+            inner_part * num_relations + inner_relation, return_index=True, return_inverse=True
+        )
+        relation_power = np.bincount(slot, power[inner], minlength=keys.size)
+        key_part = keys // num_relations
+        order = np.lexsort((first, -relation_power, key_part))
+        heads = order[np.unique(key_part[order], return_index=True)[1]]
+        split_relation = np.full(num_partitions, -1)
+        split_relation[key_part[heads]] = keys[heads] % num_relations
+        split_relation[worst_ratio >= config.rho] = -1
+
+        moved = np.unique(inner_source[inner_relation == split_relation[inner_part]])
+        splits = np.flatnonzero(
+            (split_relation >= 0)
+            & (np.bincount(part[moved], minlength=num_partitions) < np.bincount(part))
+        )
+        if not splits.size:
+            break
+        first_member = np.unique(part, return_index=True)[1]
+        splits = splits[np.argsort(first_member[splits])][: config.max_partitions - num_partitions]
+        new_id = np.arange(num_partitions)
+        new_id[splits] = num_partitions + np.arange(splits.size)
+        part[moved] = new_id[part[moved]]
+        num_partitions += splits.size
+    logger.debug("partitioned %d entity pairs into %d groups", num_nodes, num_partitions)
+    return part
 
 
 def _quotient_reach(
-    graph: AlignmentGraph,
-    estimator: InferencePowerEstimator,
-    partition_of: dict[ElementPair, int],
-    max_hops: int,
-) -> dict[int, dict[int, float]]:
-    """Maximum edge power between partitions (the quotient graph)."""
-    quotient: dict[int, dict[int, float]] = defaultdict(dict)
-    for edge in graph.edges:
-        src = partition_of.get(edge.source)
-        dst = partition_of.get(edge.target)
-        if src is None or dst is None or src == dst:
-            continue
-        power = estimator.edge_power(edge)
-        if power > quotient[src].get(dst, 0.0):
-            quotient[src][dst] = power
+    graph: AlignmentGraph, part: np.ndarray, power: np.ndarray
+) -> list[list[tuple[int, float]]]:
+    """Maximum edge power between partitions (the quotient graph).
+
+    Row ``p`` lists ``(partition, power)`` for every partition an edge leaves
+    ``p`` for, in the order ``graph.edges`` first does so; ``power`` is in CSR
+    order.
+    """
+    num_partitions = int(part.max(initial=0)) + 1
+    source_part, target_part = part[graph.source], part[graph.target]
+    cross = source_part != target_part
+    link = source_part[cross] * num_partitions + target_part[cross]
+    best = np.zeros(num_partitions * num_partitions)
+    np.maximum.at(best, link, power[cross])
+    first_edge = np.full(best.size, graph.num_edges())
+    np.minimum.at(first_edge, link, graph.edge_index[cross])
+    quotient: list[list[tuple[int, float]]] = [[] for _ in range(num_partitions)]
+    linked = np.flatnonzero(best)
+    for key in linked[np.argsort(first_edge[linked])].tolist():
+        quotient[key // num_partitions].append((key % num_partitions, float(best[key])))
     return quotient
 
 
@@ -152,42 +159,45 @@ def partition_select(
     """
     selection_config = selection_config or GreedySelectionConfig()
     partition_config = partition_config or PartitionSelectionConfig()
-    partition_of = partition_pool(graph, estimator, partition_config)
-    quotient = _quotient_reach(graph, estimator, partition_of, estimator.config.max_hops)
-    members: dict[int, list[ElementPair]] = defaultdict(list)
-    for pair, pid in partition_of.items():
+    part = partition_pool(graph, estimator, partition_config)
+    power = _edge_powers(graph, estimator)
+    quotient = _quotient_reach(graph, part, power)
+    members: list[list[ElementPair]] = [[] for _ in quotient]
+    for pair, pid in zip(graph.entity_pairs, part.tolist()):
         members[pid].append(pair)
+    node_of = {pair: node for node, pair in enumerate(graph.entity_pairs)}
+    offsets = np.searchsorted(graph.source, np.arange(len(graph.entity_pairs) + 1)).tolist()
+    edge_part, power = part[graph.target].tolist(), power.tolist()
+    max_hops, min_power = estimator.config.max_hops, estimator.config.min_power
 
     def estimated_reach(candidate: ElementPair) -> dict[ElementPair, float]:
         if candidate.kind is not ElementKind.ENTITY:
             return estimator.reachable_power(candidate)
         # first hop: actual edges out of the candidate
         partition_power: dict[int, float] = {}
-        for edge in graph.out_edges.get(candidate, []):
-            pid = partition_of.get(edge.target)
-            if pid is None:
-                continue
-            power = estimator.edge_power(edge)
-            if power > partition_power.get(pid, 0.0):
-                partition_power[pid] = power
+        node = node_of.get(candidate)
+        if node is not None:
+            for e in range(offsets[node], offsets[node + 1]):
+                if power[e] > partition_power.get(edge_part[e], 0.0):
+                    partition_power[edge_part[e]] = power[e]
         # further hops on the quotient graph (multiplicative attenuation)
         frontier = dict(partition_power)
-        for _ in range(estimator.config.max_hops - 1):
+        for _ in range(max_hops - 1):
             next_frontier: dict[int, float] = {}
-            for pid, power in frontier.items():
-                for neighbor, edge_power in quotient.get(pid, {}).items():
-                    value = power * edge_power
-                    if value > partition_power.get(neighbor, 0.0) and value > estimator.config.min_power:
-                        partition_power[neighbor] = value
-                        next_frontier[neighbor] = value
+            for pid, value in frontier.items():
+                for neighbor, edge_power in quotient[pid]:
+                    reached = value * edge_power
+                    if reached > partition_power.get(neighbor, 0.0) and reached > min_power:
+                        partition_power[neighbor] = reached
+                        next_frontier[neighbor] = reached
             if not next_frontier:
                 break
             frontier = next_frontier
         reach: dict[ElementPair, float] = {}
-        for pid, power in partition_power.items():
-            for member in members.get(pid, []):
+        for pid, value in partition_power.items():
+            for member in members[pid]:
                 if member != candidate:
-                    reach[member] = power
+                    reach[member] = value
         # schema pairs are cheap to reach exactly
         for target, value in estimator.entity_to_class_power(candidate).items():
             reach[target] = max(reach.get(target, 0.0), value)

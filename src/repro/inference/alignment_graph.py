@@ -7,10 +7,9 @@ pool.  Because the KGs are augmented with inverse relations, each structural
 connection appears in both directions, which is what the path-based inference
 power needs.
 
-The graph also records two auxiliary incidence structures used by the
-gradient-based inference power: which entity pairs instantiate which class
-pairs (via type triples), and which entity pairs are endpoints of edges
-labelled by each relation pair.
+The graph also records which class pairs each entity pair instantiates (via
+type triples) and which edges carry each relation pair, for the
+gradient-based inference power.
 """
 
 from __future__ import annotations
@@ -18,8 +17,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.graph import KnowledgeGraph
+
+
+def _no_edges() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,14 @@ class AlignmentEdge:
 
 @dataclass
 class AlignmentGraph:
-    """Adjacency view over the element-pair pool."""
+    """Adjacency view over the element-pair pool.
+
+    Besides the :class:`AlignmentEdge` lists, every edge is held in int64
+    arrays in CSR order (sorted by source, each source's out-edges in
+    insertion order): ``source`` and ``target`` index ``entity_pairs``,
+    ``relation`` indexes ``relation_pairs`` and ``edge_index`` indexes
+    ``edges``.
+    """
 
     entity_pairs: list[ElementPair] = field(default_factory=list)
     relation_pairs: list[ElementPair] = field(default_factory=list)
@@ -42,28 +54,16 @@ class AlignmentGraph:
     out_edges: dict[ElementPair, list[AlignmentEdge]] = field(
         default_factory=lambda: defaultdict(list)
     )
-    in_edges: dict[ElementPair, list[AlignmentEdge]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
     edges_by_relation_pair: dict[ElementPair, list[AlignmentEdge]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    class_pair_members: dict[ElementPair, list[ElementPair]] = field(
         default_factory=lambda: defaultdict(list)
     )
     classes_of_entity_pair: dict[ElementPair, list[ElementPair]] = field(
         default_factory=lambda: defaultdict(list)
     )
-
-    @property
-    def all_pairs(self) -> list[ElementPair]:
-        return self.entity_pairs + self.relation_pairs + self.class_pairs
-
-    def neighbors(self, pair: ElementPair) -> set[ElementPair]:
-        """Element pairs adjacent to ``pair`` through alignment-graph edges."""
-        result = {edge.target for edge in self.out_edges.get(pair, [])}
-        result |= {edge.source for edge in self.in_edges.get(pair, [])}
-        return result
+    source: np.ndarray = field(default_factory=_no_edges)
+    relation: np.ndarray = field(default_factory=_no_edges)
+    target: np.ndarray = field(default_factory=_no_edges)
+    edge_index: np.ndarray = field(default_factory=_no_edges)
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -91,51 +91,38 @@ def build_alignment_graph(
             (c1, c2) for c1 in range(kg1.num_classes) for c2 in range(kg2.num_classes)
         }
 
+    node_of = {key: i for i, key in enumerate(sorted(entity_pool))}
+    relation_of = {key: i for i, key in enumerate(sorted(relation_pool))}
     graph = AlignmentGraph(
-        entity_pairs=[entity_pair(a, b) for a, b in sorted(entity_pool)],
-        relation_pairs=[relation_pair(a, b) for a, b in sorted(relation_pool)],
+        entity_pairs=[entity_pair(a, b) for a, b in node_of],
+        relation_pairs=[relation_pair(a, b) for a, b in relation_of],
         class_pairs=[class_pair(a, b) for a, b in sorted(class_pool)],
     )
-    entity_pool_set = set(entity_pool)
-    relation_pool_set = set(relation_pool)
 
-    # entity-pair edges: join the out-edges of both sides
-    kg2_out: dict[int, list[tuple[int, int]]] = {
-        e: kg2.out_edges(e) for e in range(kg2.num_entities)
-    }
-    for left, right in entity_pool_set:
-        source = entity_pair(left, right)
-        left_edges = kg1.out_edges(left)
-        right_edges = kg2_out.get(right, [])
-        if not left_edges or not right_edges:
-            continue
-        for r1, t1 in left_edges:
+    # entity-pair edges join the out-edges of both sides; class-pair
+    # membership links feed the gradient-based inference power
+    ids: list[tuple[int, int, int]] = []
+    for left, right in set(entity_pool):
+        node = node_of[(left, right)]
+        source = graph.entity_pairs[node]
+        for c1 in kg1.classes_of(left):
+            for c2 in kg2.classes_of(right):
+                if (c1, c2) in class_pool:
+                    graph.classes_of_entity_pair[source].append(class_pair(c1, c2))
+        right_edges = kg2.out_edges(right)
+        for r1, t1 in kg1.out_edges(left):
             for r2, t2 in right_edges:
-                if (r1, r2) not in relation_pool_set:
+                rel = relation_of.get((r1, r2))
+                tgt = None if rel is None else node_of.get((t1, t2))
+                if tgt is None:
                     continue
-                if (t1, t2) not in entity_pool_set:
-                    continue
-                edge = AlignmentEdge(source, relation_pair(r1, r2), entity_pair(t1, t2))
+                edge = AlignmentEdge(source, graph.relation_pairs[rel], graph.entity_pairs[tgt])
                 graph.edges.append(edge)
                 graph.out_edges[source].append(edge)
-                graph.in_edges[edge.target].append(edge)
                 graph.edges_by_relation_pair[edge.relation].append(edge)
-
-    # class-pair membership links (for gradient-based inference power)
-    class_pool_set = set(class_pool)
-    classes_of_1: dict[int, list[int]] = {
-        e: kg1.classes_of(e) for e in range(kg1.num_entities)
-    }
-    classes_of_2: dict[int, list[int]] = {
-        e: kg2.classes_of(e) for e in range(kg2.num_entities)
-    }
-    for left, right in entity_pool_set:
-        e_pair = entity_pair(left, right)
-        for c1 in classes_of_1.get(left, []):
-            for c2 in classes_of_2.get(right, []):
-                if (c1, c2) not in class_pool_set:
-                    continue
-                c_pair = class_pair(c1, c2)
-                graph.class_pair_members[c_pair].append(e_pair)
-                graph.classes_of_entity_pair[e_pair].append(c_pair)
+                ids.append((node, rel, tgt))
+    if ids:
+        columns = np.array(ids, dtype=np.int64)
+        graph.edge_index = np.argsort(columns[:, 0], kind="stable")
+        graph.source, graph.relation, graph.target = columns[graph.edge_index].T.copy()
     return graph

@@ -299,10 +299,13 @@ def inference_accuracy(
     estimator: InferencePowerEstimator,
     labelled_matches: list[ElementPair],
     gold: dict[ElementKind, set[tuple[int, int]]],
-) -> float:
-    """The Table 6 metric: fraction of inferred element pairs that are true matches."""
+) -> float | None:
+    """The Table 6 metric: fraction of inferred element pairs that are true matches.
+
+    ``None`` when nothing is inferred: an empty set has no accuracy.
+    """
     inferred = estimator.inferred_pairs(labelled_matches)
     if not inferred:
-        return 0.0
+        return None
     correct = sum(1 for pair, _ in inferred if (pair.left, pair.right) in gold.get(pair.kind, set()))
     return correct / len(inferred)

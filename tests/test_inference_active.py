@@ -1,5 +1,7 @@
 """Tests for inference power measurement and batch active learning."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.active import (
     partition_select,
     STRATEGY_REGISTRY,
 )
+from repro.active import partition as partition_module
 from repro.active.selection import expected_overall_power
 from repro.inference import (
     ElementPair,
@@ -27,7 +30,8 @@ from repro.inference import (
 )
 from repro.inference.pairs import class_pair, entity_pair, relation_pair
 from repro.inference.power import inference_accuracy
-from repro.kg.elements import ElementKind
+from repro.kg.elements import ElementKind, Triple
+from repro.kg.graph import KnowledgeGraph
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +67,33 @@ class TestAlignmentGraph:
     def test_class_membership_links(self, tiny_pair):
         entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
-        assert len(graph.class_pair_members) > 0
+        assert len(graph.classes_of_entity_pair) > 0
+        for e_pair, c_pairs in graph.classes_of_entity_pair.items():
+            for c_pair in c_pairs:
+                assert c_pair.left in tiny_pair.kg1.classes_of(e_pair.left)
+                assert c_pair.right in tiny_pair.kg2.classes_of(e_pair.right)
 
-    def test_neighbors_symmetric_closure(self, tiny_pair):
+    def test_out_edges_index_every_edge_by_source(self, tiny_pair):
         entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
-        for edge in graph.edges[:10]:
-            assert edge.target in graph.neighbors(edge.source)
+        for edge in graph.edges:
+            assert edge in graph.out_edges[edge.source]
+        assert sum(len(edges) for edges in graph.out_edges.values()) == graph.num_edges()
+
+    def test_edge_arrays_are_csr_ordered(self, tiny_pair):
+        entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
+        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
+        csr = [
+            (graph.entity_pairs.index(pair), edge)
+            for pair in graph.entity_pairs
+            for edge in graph.out_edges.get(pair, [])
+        ]
+        assert graph.source.tolist() == [node for node, _ in csr]
+        assert [graph.edges[i] for i in graph.edge_index.tolist()] == [edge for _, edge in csr]
+        for node, rel, tgt, (_, edge) in zip(graph.source, graph.relation, graph.target, csr):
+            assert graph.entity_pairs[node] == edge.source
+            assert graph.relation_pairs[rel] == edge.relation
+            assert graph.entity_pairs[tgt] == edge.target
 
     def test_empty_pool_gives_empty_graph(self, tiny_pair):
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, set())
@@ -135,6 +159,11 @@ class TestInferencePower:
         }
         accuracy = inference_accuracy(estimator, labelled, gold)
         assert 0.0 <= accuracy <= 1.0
+
+    def test_inference_accuracy_is_none_without_inferred_pairs(self, inference_setup):
+        _, _, _, estimator = inference_setup
+        assert estimator.inferred_pairs([]) == []
+        assert inference_accuracy(estimator, [], {ElementKind.ENTITY: {(0, 0)}}) is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -230,11 +259,223 @@ class TestSelection:
             GreedySelectionConfig(batch_size=0)
 
 
+# ---------------------------------------------------------------------------
+# Reference oracle: the dict-based Algorithm 2 that the integer-id code
+# replaced, kept verbatim so the new code is held to identical partitions,
+# estimated reach (values and insertion order) and batches.
+def _reference_partition_pool(graph, estimator, config):
+    edge_power = {}
+    for edge in graph.edges:
+        power = estimator.edge_power(edge)
+        key = (edge.source, edge.target)
+        if power > edge_power.get(key, 0.0):
+            edge_power[key] = power
+
+    partition_of = {pair: 0 for pair in graph.entity_pairs}
+    num_partitions = 1
+    changed = True
+    while changed and num_partitions < config.max_partitions:
+        changed = False
+        members = defaultdict(list)
+        for pair, pid in partition_of.items():
+            members[pid].append(pair)
+        for pid, pairs in list(members.items()):
+            if len(pairs) <= 1:
+                continue
+            pair_set = set(pairs)
+            worst_ratio = 1.0
+            for pair in pairs:
+                inner = outer = 0.0
+                for edge in graph.out_edges.get(pair, []):
+                    power = edge_power.get((edge.source, edge.target), 0.0)
+                    if edge.target in pair_set:
+                        inner += power
+                    else:
+                        outer += power
+                total = inner + outer
+                if total > 0:
+                    worst_ratio = min(worst_ratio, outer / total)
+            if worst_ratio >= config.rho:
+                continue
+            relation_power = defaultdict(float)
+            for pair in pairs:
+                for edge in graph.out_edges.get(pair, []):
+                    if edge.target in pair_set:
+                        relation_power[edge.relation] += edge_power.get(
+                            (edge.source, edge.target), 0.0
+                        )
+            if not relation_power:
+                continue
+            split_relation = max(relation_power.items(), key=lambda item: item[1])[0]
+            moved = {
+                edge.source
+                for pair in pairs
+                for edge in graph.out_edges.get(pair, [])
+                if edge.relation == split_relation and edge.target in pair_set
+            }
+            if not moved or len(moved) == len(pairs):
+                continue
+            for pair in moved:
+                partition_of[pair] = num_partitions
+            num_partitions += 1
+            changed = True
+            if num_partitions >= config.max_partitions:
+                break
+    return partition_of
+
+
+def _reference_quotient_reach(graph, estimator, partition_of):
+    quotient = defaultdict(dict)
+    for edge in graph.edges:
+        src = partition_of.get(edge.source)
+        dst = partition_of.get(edge.target)
+        if src is None or dst is None or src == dst:
+            continue
+        power = estimator.edge_power(edge)
+        if power > quotient[src].get(dst, 0.0):
+            quotient[src][dst] = power
+    return quotient
+
+
+def _reference_estimated_reach(graph, estimator, config):
+    partition_of = _reference_partition_pool(graph, estimator, config)
+    quotient = _reference_quotient_reach(graph, estimator, partition_of)
+    members = defaultdict(list)
+    for pair, pid in partition_of.items():
+        members[pid].append(pair)
+
+    def estimated_reach(candidate):
+        if candidate.kind is not ElementKind.ENTITY:
+            return estimator.reachable_power(candidate)
+        partition_power = {}
+        for edge in graph.out_edges.get(candidate, []):
+            pid = partition_of.get(edge.target)
+            if pid is None:
+                continue
+            power = estimator.edge_power(edge)
+            if power > partition_power.get(pid, 0.0):
+                partition_power[pid] = power
+        frontier = dict(partition_power)
+        for _ in range(estimator.config.max_hops - 1):
+            next_frontier = {}
+            for pid, power in frontier.items():
+                for neighbor, edge_power in quotient.get(pid, {}).items():
+                    value = power * edge_power
+                    if value > partition_power.get(neighbor, 0.0) and value > estimator.config.min_power:
+                        partition_power[neighbor] = value
+                        next_frontier[neighbor] = value
+            if not next_frontier:
+                break
+            frontier = next_frontier
+        reach = {}
+        for pid, power in partition_power.items():
+            for member in members.get(pid, []):
+                if member != candidate:
+                    reach[member] = power
+        for target, value in estimator.entity_to_class_power(candidate).items():
+            reach[target] = max(reach.get(target, 0.0), value)
+        for target, value in estimator.entity_to_relation_power(candidate).items():
+            reach[target] = max(reach.get(target, 0.0), value)
+        return reach
+
+    return partition_of, estimated_reach
+
+
+def _assert_partition_parity(graph, estimator, candidates, probabilities, config, monkeypatch):
+    """Integer-id Algorithm 2 == the reference: ids, reach dicts in order, batch."""
+    reference_of, reference_reach = _reference_estimated_reach(graph, estimator, config)
+    partition_of = partition_pool(graph, estimator, config)
+    assert partition_of.tolist() == [reference_of[pair] for pair in graph.entity_pairs]
+
+    selection_config = GreedySelectionConfig(batch_size=8, power_threshold=0.5, candidate_limit=150)
+    captured = []
+
+    def capturing_greedy(candidates, probabilities, reach, config, rng):
+        captured.append(reach)
+        return greedy_select(candidates, probabilities, reach, config, rng)
+
+    monkeypatch.setattr(partition_module, "greedy_select", capturing_greedy)
+    batch = partition_select(
+        candidates, probabilities, graph, estimator,
+        selection_config=selection_config, partition_config=config, rng=0,
+    )
+    for candidate in graph.entity_pairs:
+        assert list(captured[0](candidate).items()) == list(reference_reach(candidate).items())
+    reference_batch = greedy_select(candidates, probabilities, reference_reach, selection_config, rng=0)
+    assert batch == reference_batch
+    return partition_of
+
+
+class _FixedPowerEstimator:
+    """Edge power keyed by (KG1 source entity, KG1 relation); no schema reach."""
+
+    def __init__(self, powers):
+        self.powers = powers
+        self.config = InferencePowerConfig(max_hops=3, power_threshold=0.1)
+
+    def edge_power(self, edge):
+        return self.powers[(edge.source.left, edge.relation.left)]
+
+    def reachable_power(self, source):
+        return {}
+
+    def entity_to_class_power(self, source):
+        return {}
+
+    def entity_to_relation_power(self, source):
+        return {}
+
+
 class TestPartitioning:
     def test_partition_pool_assigns_every_entity_pair(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        partition_of = partition_pool(graph, estimator, PartitionSelectionConfig(rho=0.9))
-        assert set(partition_of) == set(graph.entity_pairs)
+        config = PartitionSelectionConfig(rho=0.9)
+        partition_of = partition_pool(graph, estimator, config)
+        assert partition_of.shape == (len(graph.entity_pairs),)
+        assert partition_of.min() == 0
+        assert set(partition_of.tolist()) == set(range(int(partition_of.max()) + 1))
+        assert partition_of.max() < config.max_partitions
+
+    # 10 is where the fixture's pool stops in the middle of a pass
+    @pytest.mark.parametrize("max_partitions", [3, 10, 200])
+    @pytest.mark.parametrize("rho", [0.95, 0.9, 0.8])
+    def test_matches_dict_reference(self, inference_setup, rho, max_partitions, monkeypatch):
+        _, pool, graph, estimator = inference_setup
+        rng = np.random.default_rng(0)
+        candidates = pool.all_pairs
+        probabilities = {pair: float(rng.random()) for pair in candidates}
+        config = PartitionSelectionConfig(rho=rho, max_partitions=max_partitions)
+        partition_of = _assert_partition_parity(
+            graph, estimator, candidates, probabilities, config, monkeypatch
+        )
+        assert partition_of.max() + 1 <= max_partitions
+
+    def test_hand_built_graph_pins_tie_break_and_split_order(self, monkeypatch):
+        # a --q--> b and a --p--> b are parallel edges; both contribute the
+        # pair's best power 0.5, so p and q tie at 0.75 in the first pass.  q
+        # is met first (a's first out-edge) although p has the lower id, so
+        # {a, e} split off as partition 1.  In the second pass partitions 1
+        # (first member a) and 0 (first member b) both split; 1 comes first
+        # in node order and takes id 2.  f has no edges and stays in 0.
+        entities = ["a", "b", "c", "d", "e", "f"]
+        triples = [Triple("a", "q", "b"), Triple("a", "p", "b"),
+                   Triple("c", "p", "d"), Triple("e", "q", "a")]
+        kg = KnowledgeGraph("side", entities=entities, relations=["p", "q"], triples=triples)
+        graph = build_alignment_graph(kg, kg, {(i, i) for i in range(6)}, {(0, 0), (1, 1)})
+        assert graph.source.tolist() == [0, 0, 2, 4]
+        assert graph.relation.tolist() == [1, 0, 0, 1]
+        assert graph.target.tolist() == [1, 1, 3, 0]
+        estimator = _FixedPowerEstimator({(0, 1): 0.5, (0, 0): 0.3, (2, 0): 0.25, (4, 1): 0.25})
+
+        expected = {2: [1, 0, 0, 0, 1, 0], 3: [1, 0, 0, 0, 2, 0], 200: [1, 0, 3, 0, 2, 0]}
+        candidates = graph.entity_pairs
+        probabilities = {pair: 0.1 * (i + 1) for i, pair in enumerate(candidates)}
+        for max_partitions, partitions in expected.items():
+            config = PartitionSelectionConfig(rho=0.9, max_partitions=max_partitions)
+            partition_of = _assert_partition_parity(
+                graph, estimator, candidates, probabilities, config, monkeypatch
+            )
+            assert partition_of.tolist() == partitions
 
     def test_partition_select_returns_batch(self, inference_setup):
         pipeline, pool, graph, estimator = inference_setup
